@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{MJoin, RIG, SearchOrder, Simulation}
+import repro.graph.Graph
 import repro.graph.reach.{BFL, ReachOps}
 import repro.pattern.{Direct, PEdge, Pattern, Reach}
 
@@ -24,7 +25,8 @@ import repro.pattern.{Direct, PEdge, Pattern, Reach}
 object TM {
 
   /** Counts occurrences of `p`; enumeration is distributed over tree-RIG
-    * seeds like MJoin. Honors the cooperative deadline in [[repro.util.Timing]].
+    * seeds like [[MJoin.answerDF]]. Honors the cooperative deadline in
+    * [[repro.util.Timing]].
     */
   def countMatches(spark: SparkSession, ops: ReachOps, bfl: BFL, p: Pattern,
                    limit: Long = Long.MaxValue,
@@ -36,7 +38,7 @@ object TM {
       else Simulation.matchSets(ops, p)
     // Tree double simulation stabilizes in one pass (paper §4.4 / [59]).
     val sim = Simulation.fbSim(ops, treeP, init, maxPasses = 2)
-    val rig = RIG.expand(ops, treeP, sim.fb, Some(spark))
+    val rig = RIG.expand(ops, treeP, sim.fb)
     if (rig.isEmpty) return 0L
     val order = SearchOrder.jo(rig)
 
@@ -45,21 +47,20 @@ object TM {
     if (seeds.length < 64) {
       var count = 0L
       MJoin.enumerate(rig, order) { t =>
-        if (satisfiesMissing(ops, bfl, missing, t)) count += 1
+        if (satisfiesMissing(ops.g, bfl, missing, t)) count += 1
         count < limit
       }
       count
     } else {
       val bRig = sc.broadcast(rig)
       val bBfl = sc.broadcast(bfl)
-      val bMissing = missing.toArray
       val parts = math.max(1, math.min(sc.defaultParallelism * 4, seeds.length / 16))
       val total = sc.parallelize(seeds.toIndexedSeq, parts)
         .mapPartitions { it =>
           val rigL = bRig.value; val bflL = bBfl.value
           var count = 0L
           MJoin.enumerateSeeds(rigL, order, it.toArray) { t =>
-            if (satisfiesMissing(bflL.g, bflL, bMissing, t)) count += 1
+            if (satisfiesMissing(bflL.g, bflL, missing, t)) count += 1
             count < limit
           }
           Iterator.single(count)
@@ -70,15 +71,8 @@ object TM {
     }
   }
 
-  private def satisfiesMissing(ops: ReachOps, bfl: BFL, missing: Seq[PEdge],
-                               t: Array[Int]): Boolean =
-    missing.forall {
-      case PEdge(f, to, Direct) => ops.g.hasEdge(t(f), t(to))
-      case PEdge(f, to, Reach) => bfl.reaches(t(f), t(to))
-    }
-
-  private def satisfiesMissing(g: repro.graph.Graph, bfl: BFL, missing: Array[PEdge],
-                               t: Array[Int]): Boolean =
+  /** Post-filter: does tuple `t` also satisfy the pattern edges the tree left out? */
+  private def satisfiesMissing(g: Graph, bfl: BFL, missing: Seq[PEdge], t: Array[Int]): Boolean =
     missing.forall {
       case PEdge(f, to, Direct) => g.hasEdge(t(f), t(to))
       case PEdge(f, to, Reach) => bfl.reaches(t(f), t(to))

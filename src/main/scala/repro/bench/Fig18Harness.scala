@@ -55,7 +55,7 @@ object Fig18Harness {
         TransitiveClosure.dataframe(spark, edges).count()
       }
       val catOutcome = Timing.run(spark, BenchEnv.timeoutSec) {
-        val cat = GFLike.buildCatalog(spark, nodesDF, edges,
+        val cat = GFLike.buildCatalog(nodesDF, edges,
           entryBudget = BenchEnv.budgetRows)
         cat.pairCounts.size.toLong + cat.tripleCounts.size
       }
@@ -85,7 +85,7 @@ object Fig18Harness {
       val tcOps = ReachOps(tcGraph)
       val cat = GFLike.catalogFromGraph(tcGraph)
       val gfOut = Timing.run(spark, BenchEnv.timeoutSec) {
-        GFLike.countMatches(spark, tcOps, cat, d.toCQuery, BenchEnv.limit)
+        GFLike.countMatches(tcOps, cat, d.toCQuery, BenchEnv.limit)
       }
       val gmOut = QueryRunners.gm(spark, ops, d)
       QueryRow(s"DQ$id", l, neoOut, gfOut, gmOut)

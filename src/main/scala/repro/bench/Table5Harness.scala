@@ -56,7 +56,7 @@ object Table5Harness {
       // EH: time the precompute and the probe separately, as the paper does.
       // The precompute (trie build) is straight-line work; only the probe
       // enumeration runs under the query budget.
-      val prep = EHLike.prepare(spark, ops, q, BenchEnv.limit)
+      val prep = EHLike.prepare(ops, q, BenchEnv.limit)
       val probeOutcome = Timing.run(spark, BenchEnv.timeoutSec)(prep.probe())
       val ehOutcome = probeOutcome match {
         case Timing.Solved(sec, n) => Timing.Solved(sec + prep.precomputeSec, n)

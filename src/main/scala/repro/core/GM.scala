@@ -23,6 +23,7 @@ object GM {
       simPasses: Int = 3, // the paper fixes N = 3 (§4.5)
       order: SearchOrder.Strategy = SearchOrder.JO,
       limit: Long = Long.MaxValue,
+      /** Kept for the frozen benchmark only; ignored, and nothing under `src/` reads it. */
       distribute: Boolean = true,
   )
 
@@ -45,15 +46,13 @@ object GM {
     def rigSize: Long = rigNodes + rigEdges
   }
 
-  /** Runs the full pipeline and counts matches (capped at `config.limit`). */
+  /** Runs the full pipeline on the driver and counts matches (capped at
+    * `config.limit`). Starts no Spark job; `spark` is unused.
+    */
   def countMatches(spark: SparkSession, ops: ReachOps, pattern: Pattern,
                    config: Config = Config()): (Long, Stats) = {
-    val (rig, order, stats) = prepare(spark, ops, pattern, config)
-    val (matches, enumSec) = Timing.time {
-      if (rig.isEmpty) 0L
-      else if (config.distribute) MJoin.count(spark, rig, order, config.limit)
-      else MJoin.enumerate(rig, order, config.limit)(_ => true)
-    }
+    val (rig, order, stats) = prepare(ops, pattern, config)
+    val (matches, enumSec) = Timing.time(MJoin.enumerate(rig, order, config.limit)(_ => true))
     (matches, stats.copy(enumSec = enumSec, matches = matches))
   }
 
@@ -62,14 +61,13 @@ object GM {
     */
   def answer(spark: SparkSession, ops: ReachOps, pattern: Pattern,
              config: Config = Config()): (DataFrame, Stats) = {
-    val (rig, order, stats) = prepare(spark, ops, pattern, config)
+    val (rig, order, stats) = prepare(ops, pattern, config)
     val (df, enumSec) = Timing.time(MJoin.answerDF(spark, rig, order, config.limit))
     (df, stats.copy(enumSec = enumSec))
   }
 
   /** Everything before enumeration: the paper's "matching time". */
-  def prepare(spark: SparkSession, ops: ReachOps, pattern: Pattern,
-              config: Config): (RIG, Array[Int], Stats) = {
+  def prepare(ops: ReachOps, pattern: Pattern, config: Config): (RIG, Array[Int], Stats) = {
     val (reduced, reduceSec) = Timing.time {
       if (config.reduce) TransitiveReduction.reduce(pattern) else pattern
     }
@@ -81,8 +79,7 @@ object GM {
       if (config.simulate) Simulation.fbSim(ops, reduced, init, config.simPasses)
       else Simulation.Result(init, 0)
     }
-    val sparkOpt = if (config.distribute) Some(spark) else None
-    val (rig, expandSec) = Timing.time(RIG.expand(ops, reduced, simRes.fb, sparkOpt))
+    val (rig, expandSec) = Timing.time(RIG.expand(ops, reduced, simRes.fb))
     val (order, orderSec) = Timing.time {
       if (rig.isEmpty) Array.range(0, reduced.numNodes)
       else SearchOrder.compute(config.order, rig)

@@ -11,10 +11,10 @@ import repro.util.Timing
   * of the RIG adjacency lists of the already-bound neighbor nodes — no
   * intermediate join results are ever materialized (space O(n · MaxCos)).
   *
-  * Distribution: the search space is partitioned on the *first* node of the
-  * search order. `cos(q1)` is split across executor tasks; each task runs the
-  * backtracking enumeration for its seeds against the broadcast RIG, so
-  * enumeration parallelizes with zero coordination (seeds are independent).
+  * Counting and `emit`-style enumeration run on the driver. Only
+  * [[MJoin.answerDF]] distributes: it partitions the search space on the
+  * *first* node of the search order, splitting `cos(q1)` across executor tasks
+  * that each backtrack over their seeds against the broadcast RIG.
   */
 object MJoin {
 
@@ -73,7 +73,7 @@ object MJoin {
     else enumerateSeeds(rig, order, rig.cos(order(0)), limit)(emit)
 
   /** Enumeration restricted to the given seeds for the first order node
-    * (the unit of distribution — each executor task owns a seed slice).
+    * (the unit of distribution in [[answerDF]] — each task owns a seed slice).
     */
   def enumerateSeeds(rig: RIG, order: Array[Int], seeds: Array[Int],
                      limit: Long = Long.MaxValue)(emit: Array[Int] => Boolean): Long = {
@@ -118,27 +118,10 @@ object MJoin {
     emitted
   }
 
-  /** Exact-up-to-`limit` count of occurrences, distributed over seeds. */
+  /** Kept for the frozen benchmark only; nothing under `src/` calls it. A no-op-`emit` [[enumerate]]. */
   def count(spark: SparkSession, rig: RIG, order: Array[Int],
-            limit: Long = Long.MaxValue): Long = {
-    if (rig.isEmpty) return 0L
-    val seeds = rig.cos(order(0))
-    if (seeds.length < 64) {
-      enumerate(rig, order, limit)(_ => true)
-    } else {
-      val sc = spark.sparkContext
-      val bRig = sc.broadcast(rig)
-      val parts = math.max(1, math.min(sc.defaultParallelism * 4, seeds.length / 16))
-      val total = sc.parallelize(seeds.toIndexedSeq, parts)
-        .mapPartitions { it =>
-          val local = enumerateSeeds(bRig.value, order, it.toArray, limit)(_ => true)
-          Iterator.single(local)
-        }
-        .fold(0L)(_ + _)
-      bRig.destroy()
-      math.min(total, limit)
-    }
-  }
+            limit: Long = Long.MaxValue): Long =
+    enumerate(rig, order, limit)(_ => true)
 
   /** Answer DataFrame with one column per query node (`q0`..`qn-1`, LongType),
     * enumerated distributedly and capped at `limit` rows.

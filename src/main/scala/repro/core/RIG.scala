@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.roaringbitmap.RoaringBitmap
 import repro.graph.reach.ReachOps
 import repro.pattern.{Direct, Pattern, Reach}
+import repro.util.Timing
 
 /** Runtime Index Graph (paper §4, Def. 4.1).
   *
@@ -53,17 +54,20 @@ final class RIG(
   * expansion with incident edges. Direct edges expand by intersecting graph
   * adjacency rows with cos(q) (the paper's `bitBat`); reachability edges
   * expand through [[ReachOps.TargetedReach]] (condensation-DFS with region
-  * pruning and per-SCC memoization). When a SparkSession is supplied and a
-  * side is large, the expansion fans out over executors with the CSR and the
-  * candidate sets shipped via broadcast — the distributed-dataflow face of
-  * the paper's on-the-fly index build.
+  * pruning and per-SCC memoization). Expansion is in-memory on the driver,
+  * as in the paper, and honours the cooperative deadline in [[Timing]].
   */
 object RIG {
 
-  /** Build the RIG edges over already-selected candidate sets. */
+  /** Sources expanded between two deadline checks. */
+  private val DeadlineStride = 64
+
+  /** Kept for the frozen benchmark; `spark` is ignored and nothing under `src/` calls this. */
   def expand(ops: ReachOps, p: Pattern, cosSets: Array[RoaringBitmap],
-             spark: Option[SparkSession] = None,
-             distributeThreshold: Int = 4096): RIG = {
+             spark: Option[SparkSession]): RIG = expand(ops, p, cosSets)
+
+  /** Build the RIG edges over already-selected candidate sets. */
+  def expand(ops: ReachOps, p: Pattern, cosSets: Array[RoaringBitmap]): RIG = {
     val cos: Array[Array[Int]] = cosSets.map(_.toArray)
     if (cos.exists(_.isEmpty)) {
       val empty = p.edges.indices.map(_ => Array.empty[Array[Int]]).toArray
@@ -73,61 +77,27 @@ object RIG {
     val fwd = new Array[Array[Array[Int]]](p.numEdges)
     for (ei <- p.edges.indices) {
       val e = p.edges(ei)
-      val sources = cos(e.from)
-      val targets = cos(e.to)
-      val targetSet = cosSets(e.to)
-      def expandLocal(src: Array[Int]): Array[Array[Int]] = e.kind match {
+      val row: Int => Array[Int] = e.kind match {
+        case Reach => ops.targeted(cos(e.to)).from
         case Direct =>
-          src.map { vp =>
-            // adj_f(vp) ∩ cos(q): both sorted — stream the smaller through.
-            val g = ops.g
-            val out = new scala.collection.mutable.ArrayBuffer[Int]()
+          // adj_f(vp) ∩ cos(q): stream the sorted adjacency row through the bitmap.
+          val g = ops.g
+          val targetSet = cosSets(e.to)
+          vp => {
+            val out = new scala.collection.mutable.ArrayBuilder.ofInt
             var i = g.fwdOff(vp)
             while (i < g.fwdOff(vp + 1)) {
               val w = g.fwdAdj(i)
               if (targetSet.contains(w)) out += w
               i += 1
             }
-            out.toArray
+            out.result()
           }
-        case Reach =>
-          val tr = ops.targeted(targets)
-          src.map(tr.from)
       }
-      fwd(ei) = spark match {
-        case Some(ss) if sources.length >= distributeThreshold =>
-          val sc = ss.sparkContext
-          val bOps = sc.broadcast(ops)
-          val bTargets = sc.broadcast(targets)
-          val bTargetSet = sc.broadcast(targetSet)
-          val kind = e.kind
-          val parts = math.min(sc.defaultParallelism * 2, math.max(1, sources.length / 256))
-          val res = sc.parallelize(sources.toIndexedSeq, parts)
-            .mapPartitions { it =>
-              val o = bOps.value
-              kind match {
-                case Direct =>
-                  val g = o.g
-                  it.map { vp =>
-                    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-                    var i = g.fwdOff(vp)
-                    while (i < g.fwdOff(vp + 1)) {
-                      val w = g.fwdAdj(i)
-                      if (bTargetSet.value.contains(w)) out += w
-                      i += 1
-                    }
-                    (vp, out.toArray)
-                  }
-                case Reach =>
-                  val tr = o.targeted(bTargets.value) // one region build per partition
-                  it.map(vp => (vp, tr.from(vp)))
-              }
-            }
-            .collect()
-            .toMap
-          bOps.destroy(); bTargets.destroy(); bTargetSet.destroy()
-          sources.map(res)
-        case _ => expandLocal(sources)
+      val sources = cos(e.from)
+      fwd(ei) = Array.tabulate(sources.length) { sp =>
+        if (sp % DeadlineStride == 0) Timing.checkDeadline()
+        row(sources(sp))
       }
     }
 
@@ -160,9 +130,8 @@ object RIG {
   /** Full BuildRIG: select (double simulation) then expand. */
   def build(ops: ReachOps, p: Pattern,
             init: Array[RoaringBitmap],
-            maxPasses: Int = 3,
-            spark: Option[SparkSession] = None): (RIG, Simulation.Result) = {
+            maxPasses: Int = 3): (RIG, Simulation.Result) = {
     val sim = Simulation.fbSim(ops, p, init, maxPasses)
-    (expand(ops, p, sim.fb, spark), sim)
+    (expand(ops, p, sim.fb), sim)
   }
 }

@@ -1,6 +1,5 @@
 package repro.engines
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{MJoin, RIG, SearchOrder, Simulation}
 import repro.graph.reach.ReachOps
 import repro.pattern.Pattern
@@ -22,21 +21,16 @@ object EHLike {
   final case class Result(precomputeSec: Double, probe: () => Long)
 
   /** Prepares the tries (timed) and returns a thunk running the probe. */
-  def prepare(spark: SparkSession, ops: ReachOps, p: Pattern,
-              limit: Long = Long.MaxValue): Result = {
+  def prepare(ops: ReachOps, p: Pattern, limit: Long = Long.MaxValue): Result = {
     require(p.edges.forall(_.kind == repro.pattern.Direct),
       "EHLike evaluates child-edge-only (C) queries")
     val start = System.nanoTime()
     // Precompute: full match-set "tries" — no filtering, the whole ms(q)/ms(e).
-    val rig = RIG.expand(ops, p, Simulation.matchSets(ops, p), Some(spark))
+    val rig = RIG.expand(ops, p, Simulation.matchSets(ops, p))
     val precomputeSec = (System.nanoTime() - start) / 1e9
-    val probe = () => {
+    val probe = () =>
       if (rig.isEmpty) 0L
-      else {
-        val order = SearchOrder.jo(rig)
-        MJoin.count(spark, rig, order, limit)
-      }
-    }
+      else MJoin.enumerate(rig, SearchOrder.jo(rig), limit)(_ => true)
     Result(precomputeSec, probe)
   }
 }

@@ -1,6 +1,6 @@
 package repro.engines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.{MJoin, RIG, SearchOrder, Simulation}
 import repro.graph.reach.ReachOps
@@ -32,7 +32,7 @@ object GFLike {
   /** Builds the catalog with DataFrame joins; throws SimulatedOOM when the
     * entry count exceeds `entryBudget` (GF's observed failure mode).
     */
-  def buildCatalog(spark: SparkSession, nodes: DataFrame, edges: DataFrame,
+  def buildCatalog(nodes: DataFrame, edges: DataFrame,
                    entryBudget: Long = 2_000_000L): Catalog = {
     val start = System.nanoTime()
     val labeled = edges.as("e")
@@ -76,14 +76,13 @@ object GFLike {
   /** WCO-join evaluation with a catalog-informed static order. Edge-to-edge
     * only: the caller must pass a transitive-closure graph for D-queries.
     */
-  def countMatches(spark: SparkSession, ops: ReachOps, catalog: Catalog,
-                   p: Pattern, limit: Long = Long.MaxValue): Long = {
+  def countMatches(ops: ReachOps, catalog: Catalog, p: Pattern,
+                   limit: Long = Long.MaxValue): Long = {
     require(p.edges.forall(_.kind == repro.pattern.Direct),
       "GFLike evaluates edge-to-edge queries (pass a TC graph for D-queries)")
-    val rig = RIG.expand(ops, p, Simulation.matchSets(ops, p), Some(spark))
-    if (rig.isEmpty) return 0L
-    val order = catalogOrder(p, catalog)
-    MJoin.count(spark, rig, order, limit)
+    val rig = RIG.expand(ops, p, Simulation.matchSets(ops, p))
+    if (rig.isEmpty) 0L
+    else MJoin.enumerate(rig, catalogOrder(p, catalog), limit)(_ => true)
   }
 
   /** Greedy order: start at the edge with the fewest catalog matches, extend

@@ -8,10 +8,10 @@ import org.roaringbitmap.RoaringBitmap
   * and backward CSR) with neighbor arrays sorted ascending, so membership
   * checks are binary searches and unions/intersections stream in order.
   *
-  * The whole structure is `Serializable` and small enough to broadcast: the
-  * paper's algorithms (simulation, RIG, MJoin) are in-memory, and Spark tasks
-  * receive the CSR via a broadcast variable while the *work* (edge expansion,
-  * enumeration) is distributed.
+  * The paper's algorithms (simulation, RIG expansion, MJoin counting) are
+  * in-memory and run on the driver over this CSR. It is also `Serializable`
+  * and small enough to broadcast to the Spark paths that still read it: JM's
+  * edge-match relations and TM's distributed enumeration.
   *
   * @param labels     node id -> label id
   * @param labelNames label id -> label name

@@ -13,7 +13,9 @@ import repro.graph.{Condensation, Graph}
   * Reachability semantics follow Def. 2.2: `u ≺ v` iff there is a path with at
   * least one edge from u to v (so `u ≺ u` only through a cycle). All path
   * reasoning happens on the SCC condensation whose component ids are
-  * topologically ordered (see [[repro.graph.Condensation]]).
+  * topologically ordered (see [[repro.graph.Condensation]]). Pairwise
+  * `u ≺ v` checks are not here: they go through the BFL index
+  * ([[BFL.reaches]]).
   */
 final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable {
 
@@ -90,31 +92,6 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
       }
     }
     out
-  }
-
-  /** Exact pairwise reachability via DFS on the condensation DAG with
-    * topological-id pruning. Used as ground truth and by callers that have no
-    * BFL index at hand; hot pairwise paths should prefer [[BFL.reaches]].
-    */
-  def reaches(u: Int, v: Int): Boolean = {
-    val cu = cond.comp(u); val cv = cond.comp(v)
-    if (cu == cv) return cond.isCyclic(cu)
-    if (cu > cv) return false // comp ids are topological: edges only increase
-    val visited = new java.util.BitSet(cond.numComps)
-    val stack = new scala.collection.mutable.ArrayDeque[Int]()
-    stack.prepend(cu)
-    while (stack.nonEmpty) {
-      val comp = stack.removeHead()
-      val kids = cond.dagChildren(comp)
-      var i = 0
-      while (i < kids.length) {
-        val k = kids(i)
-        if (k == cv) return true
-        if (k < cv && !visited.get(k)) { visited.set(k); stack.prepend(k) }
-        i += 1
-      }
-    }
-    false
   }
 
   /** For a fixed target node set, answers "which targets does node u reach?"

@@ -16,7 +16,7 @@ class GMSuite extends SparkSpec with SeededChecks {
     forSeeds(20) { seed =>
       val (g, ops) = setup(seed)
       val p = Templates.randomPattern(g, n = 4, extraEdges = 2, reachProb = 0.5, seed, "G")
-      val (count, _) = GM.countMatches(spark, ops, p, GM.Config(distribute = false))
+      val (count, _) = GM.countMatches(spark, ops, p)
       assert(count == BruteForce.answer(g, p).size, s"seed=$seed")
     }
   }
@@ -27,20 +27,30 @@ class GMSuite extends SparkSpec with SeededChecks {
       val p = Templates.randomPattern(g, n = 4, extraEdges = 1, reachProb = 0.6, seed + 40, "G")
       val exp = BruteForce.answer(g, p).size.toLong
       val variants = Seq(
-        GM.Config(distribute = false),                         // GM
-        GM.Config(prefilter = false, distribute = false),      // GM-S
-        GM.Config(simulate = false, distribute = false),       // GM-F
-        GM.Config(reduce = false, distribute = false),         // GM-NR
-        GM.Config(order = SearchOrder.RI, distribute = false),
-        GM.Config(order = SearchOrder.BJ, distribute = false),
-        GM.Config(simPasses = 1, distribute = false),
-        GM.Config(distribute = true),
+        GM.Config(),                    // GM
+        GM.Config(prefilter = false),   // GM-S
+        GM.Config(simulate = false),    // GM-F
+        GM.Config(reduce = false),      // GM-NR
+        GM.Config(order = SearchOrder.RI),
+        GM.Config(order = SearchOrder.BJ),
+        GM.Config(simPasses = 1),
       )
       variants.foreach { cfg =>
         val (count, _) = GM.countMatches(spark, ops, p, cfg)
         assert(count == exp, s"seed=$seed cfg=$cfg")
       }
     }
+  }
+
+  test("countMatches runs on the driver: no Spark job even with a large cos(q1)") {
+    val (g, ops) = setup(11, n = 400, e = 1600)
+    val p = Templates.hQuery(0, g)
+    val config = GM.Config(limit = 100000L)
+    val (rig, order, _) = GM.prepare(ops, p, config)
+    assert(rig.cos(order(0)).length >= 64, "too few seeds to have distributed the count")
+    val ((count, _), jobs) = sparkJobsDuring(GM.countMatches(spark, ops, p, config))
+    assert(jobs == 0)
+    assert(count == MJoin.enumerate(rig, order, config.limit)(_ => true))
   }
 
   test("GM answer DataFrame equals the DuckDB oracle on template queries") {
@@ -61,7 +71,7 @@ class GMSuite extends SparkSpec with SeededChecks {
   test("stats are populated and consistent") {
     val (g, ops) = setup(7, n = 60, e = 180)
     val p = Templates.hQuery(6, g)
-    val (count, stats) = GM.countMatches(spark, ops, p, GM.Config(distribute = false))
+    val (count, stats) = GM.countMatches(spark, ops, p)
     assert(stats.matches == count)
     assert(stats.totalSec >= stats.matchingSec)
     assert(stats.rigSize == stats.rigNodes + stats.rigEdges)
@@ -79,10 +89,10 @@ class GMSuite extends SparkSpec with SeededChecks {
   test("limit caps the reported match count") {
     val (g, ops) = setup(5, n = 50, e = 150)
     val p = Templates.hQuery(0, g)
-    val (full, _) = GM.countMatches(spark, ops, p, GM.Config(distribute = false))
+    val (full, _) = GM.countMatches(spark, ops, p)
     if (full > 3) {
       val (capped, _) = GM.countMatches(spark, ops, p,
-        GM.Config(distribute = false, limit = 3))
+        GM.Config(limit = 3))
       assert(capped == 3)
     }
   }
@@ -98,8 +108,8 @@ class GMSuite extends SparkSpec with SeededChecks {
         repro.pattern.PEdge(2, 3, repro.pattern.Reach),
         repro.pattern.PEdge(0, 2, repro.pattern.Reach),
         repro.pattern.PEdge(0, 3, repro.pattern.Reach)))
-    val (withR, _) = GM.countMatches(spark, ops, p, GM.Config(distribute = false))
-    val (withoutR, _) = GM.countMatches(spark, ops, p, GM.Config(reduce = false, distribute = false))
+    val (withR, _) = GM.countMatches(spark, ops, p)
+    val (withoutR, _) = GM.countMatches(spark, ops, p, GM.Config(reduce = false))
     assert(withR == withoutR)
     assert(withR == BruteForce.answer(g, p).size)
   }

@@ -59,7 +59,7 @@ class EHLikeSuite extends SparkSpec with SeededChecks {
       val g = GraphGen.random(30, 80, 3, seed)
       val ops = ReachOps(g)
       val p = Templates.cQuery((seed % 12).toInt, g)
-      val res = EHLike.prepare(spark, ops, p)
+      val res = EHLike.prepare(ops, p)
       assert(res.precomputeSec >= 0.0)
       assert(res.probe() == BruteForce.answer(g, p).size, s"seed=$seed ${p.name}")
     }
@@ -68,7 +68,7 @@ class EHLikeSuite extends SparkSpec with SeededChecks {
   test("EHLike rejects queries with reachability edges") {
     val g = GraphGen.random(10, 25, 2, seed = 1)
     val ops = ReachOps(g)
-    intercept[IllegalArgumentException](EHLike.prepare(spark, ops, Templates.dQuery(0, g)))
+    intercept[IllegalArgumentException](EHLike.prepare(ops, Templates.dQuery(0, g)))
   }
 }
 
@@ -78,7 +78,7 @@ class GFLikeSuite extends SparkSpec with SeededChecks {
     val g = GraphGen.random(25, 60, 3, seed = 4)
     val nodes = GraphDF.nodesDF(spark, g)
     val edges = GraphDF.edgesDF(spark, g)
-    val cat = GFLike.buildCatalog(spark, nodes, edges, entryBudget = Long.MaxValue)
+    val cat = GFLike.buildCatalog(nodes, edges, entryBudget = Long.MaxValue)
     val exp = g.edgeIterator.toSeq
       .groupBy { case (u, v) => (g.labelNames(g.labels(u)), g.labelNames(g.labels(v))) }
       .view.mapValues(_.size.toLong).toMap
@@ -92,9 +92,9 @@ class GFLikeSuite extends SparkSpec with SeededChecks {
       val ops = ReachOps(g)
       val nodes = GraphDF.nodesDF(spark, g)
       val edges = GraphDF.edgesDF(spark, g)
-      val cat = GFLike.buildCatalog(spark, nodes, edges, entryBudget = Long.MaxValue)
+      val cat = GFLike.buildCatalog(nodes, edges, entryBudget = Long.MaxValue)
       val p = Templates.cQuery((seed % 10).toInt, g)
-      assert(GFLike.countMatches(spark, ops, cat, p) == BruteForce.answer(g, p).size,
+      assert(GFLike.countMatches(ops, cat, p) == BruteForce.answer(g, p).size,
         s"seed=$seed ${p.name}")
     }
   }
@@ -107,14 +107,26 @@ class GFLikeSuite extends SparkSpec with SeededChecks {
     val tcOps = ReachOps(tcGraph)
     val nodes = GraphDF.nodesDF(spark, tcGraph)
     val edges = GraphDF.edgesDF(spark, tcGraph)
-    val cat = GFLike.buildCatalog(spark, nodes, edges, entryBudget = Long.MaxValue)
+    val cat = GFLike.buildCatalog(nodes, edges, entryBudget = Long.MaxValue)
     val d = Templates.dQuery(0, g)
     val asC = d.toCQuery // on the TC graph, reach edges become direct edges
-    val got = GFLike.countMatches(spark, tcOps, cat, asC)
+    val got = GFLike.countMatches(tcOps, cat, asC)
     // Self-reach pairs (cycles) are dropped by Graph.fromEdges; restrict the
     // brute-force reference to a DAG-ish comparison via the same TC graph.
     val exp = BruteForce.answer(tcGraph, asC).size
     assert(got == exp)
+  }
+
+  test("EHLike and GFLike count on the driver without Spark jobs") {
+    val g = GraphGen.random(400, 1600, 3, seed = 11)
+    val ops = ReachOps(g)
+    val p = Templates.cQuery(0, g)
+    val cat = GFLike.catalogFromGraph(g)
+    val exp = BruteForce.answer(g, p).size.toLong
+    val (eh, ehJobs) = sparkJobsDuring(EHLike.prepare(ops, p).probe())
+    val (gf, gfJobs) = sparkJobsDuring(GFLike.countMatches(ops, cat, p))
+    assert(eh == exp && gf == exp)
+    assert(ehJobs == 0 && gfJobs == 0)
   }
 
   test("catalog entry budget models GF's OOM") {
@@ -122,7 +134,7 @@ class GFLikeSuite extends SparkSpec with SeededChecks {
     val nodes = GraphDF.nodesDF(spark, g)
     val edges = GraphDF.edgesDF(spark, g)
     intercept[Timing.SimulatedOOM] {
-      GFLike.buildCatalog(spark, nodes, edges, entryBudget = 2)
+      GFLike.buildCatalog(nodes, edges, entryBudget = 2)
     }
   }
 }
