@@ -1,8 +1,10 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.core.Simulation
+import org.roaringbitmap.RoaringBitmap
+import repro.core.{RIG, Simulation}
 import repro.graph.reach.ReachOps
 import repro.pattern.Pattern
 import repro.util.Timing
@@ -11,50 +13,73 @@ import repro.util.Timing
   * every query edge, pick an optimized left-deep binary-join plan via dynamic
   * programming, then evaluate the query as a sequence of Spark SQL joins.
   *
-  * Every intermediate result is materialized (persisted and counted) — that
-  * is JM's defining weakness. A configurable row budget models the paper's
-  * out-of-memory failures: exceeding it raises [[Timing.SimulatedOOM]].
-  * Node pre-filtering [11, 63] is applied to the inputs, as in the paper.
+  * Edge relations are built on the driver by RIG's row kernel
+  * ([[RIG.edgeMatches]]); only their `(u, v)` rows go to Spark for the joins.
+  * Every intermediate join result is materialized (persisted and counted) —
+  * that is JM's defining weakness. A configurable row budget models the
+  * paper's out-of-memory failures: exceeding it raises
+  * [[Timing.SimulatedOOM]]. Node pre-filtering [11, 63] is applied to the
+  * inputs, as in the paper.
   */
 object JM {
 
+  /** ms(e) of pattern edge `edgeIdx` over the candidate sets, built on the
+    * driver, with its row count. The DataFrame has columns
+    * (colName(from), colName(to)) and starts no Spark job until it is read.
+    */
+  def edgeRelation(spark: SparkSession, ops: ReachOps, p: Pattern, edgeIdx: Int,
+                   cand: Array[RoaringBitmap]): (DataFrame, Long) = {
+    val e = p.edges(edgeIdx)
+    val sources = cand(e.from).toArray
+    val targets = RIG.edgeMatches(ops, e.kind, sources, cand(e.to))
+    val rows = sources.indices.collect { case i if targets(i).nonEmpty => (sources(i), targets(i)) }
+    val schema = StructType(Seq(
+      StructField(p.colName(e.from), LongType, nullable = false),
+      StructField(p.colName(e.to), LongType, nullable = false)))
+    val sc = spark.sparkContext
+    val parts = math.max(1, math.min(sc.defaultParallelism * 2, rows.length / 64 + 1))
+    val pairs = sc.parallelize(rows, parts).flatMap { case (u, vs) =>
+      vs.iterator.map(v => Row(u.toLong, v.toLong))
+    }
+    (spark.createDataFrame(pairs, schema), targets.foldLeft(0L)(_ + _.length))
+  }
+
   /** Counts the occurrences of `p`. Throws SimulatedOOM / QueryTimeout. */
   def countMatches(spark: SparkSession, ops: ReachOps, p: Pattern,
-                   budgetRows: Long = 20_000_000L,
-                   prefilter: Boolean = true): Long = {
-    val cand =
-      if (prefilter) Simulation.prefilter(ops, p)
-      else Simulation.matchSets(ops, p)
+                   budgetRows: Long = 20_000_000L): Long = {
+    val cand = Simulation.prefilter(ops, p)
     if (cand.exists(_.isEmpty)) return 0L
+    // A connected pattern without edges is a single node: count candidates.
+    if (p.numEdges == 0) return cand(0).getLongCardinality
 
-    // Edge relations, materialized and counted (JM's input step).
+    // Edge relations, in pattern-edge order; each is checked against the
+    // budget before the next is built and before any Spark job runs.
     val rels = p.edges.indices.map { ei =>
       Timing.checkDeadline()
-      val df = EdgeMatches.matchDF(spark, ops, p, ei, cand)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      val n = df.count()
+      val (df, n) = edgeRelation(spark, ops, p, ei, cand)
       if (n > budgetRows)
         throw new Timing.SimulatedOOM(s"edge relation $ei has $n rows > budget $budgetRows")
       (df, n)
     }.toVector
+    if (rels.exists(_._2 == 0L)) return 0L
+
+    val order = planLeftDeep(p, rels.map(_._2))
+    var acc: DataFrame = rels(order.head)._1
+    val persisted = scala.collection.mutable.ArrayBuffer.empty[DataFrame]
     try {
-      if (rels.exists(_._2 == 0L)) return 0L
-      val order = planLeftDeep(p, rels.map(_._2))
-      var acc: DataFrame = rels(order.head)._1
       order.tail.foreach { ei =>
         Timing.checkDeadline()
         val right = rels(ei)._1
         val common = acc.columns.toSet.intersect(right.columns.toSet).toSeq
         acc = if (common.nonEmpty) acc.join(right, common) else acc.crossJoin(right)
         acc = acc.persist(StorageLevel.MEMORY_AND_DISK)
+        persisted += acc
         val n = acc.count() // JM materializes every intermediate
         if (n > budgetRows)
           throw new Timing.SimulatedOOM(s"intermediate result has $n rows > budget $budgetRows")
       }
-      // Pattern nodes incident to no edge cannot occur in a connected pattern
-      // with >1 node; for the degenerate single-node pattern count candidates.
-      if (p.numEdges == 0) cand(0).getLongCardinality else acc.count()
-    } finally rels.foreach(_._1.unpersist())
+      acc.count()
+    } finally persisted.foreach(_.unpersist())
   }
 
   /** Left-deep plan over query edges: exact subset DP for <=16 edges

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{MJoin, RIG, SearchOrder, Simulation}
 import repro.graph.Graph
 import repro.graph.reach.{BFL, ReachOps}
@@ -10,10 +9,10 @@ import repro.pattern.{Direct, PEdge, Pattern, Reach}
   *
   *  1. extract a spanning tree of the pattern (BFS over the undirected
   *     pattern, keeping one original directed edge per tree link);
-  *  2. evaluate the tree query with the tree-pattern algorithm of [59]
-  *     (tree double simulation + answer-graph enumeration — for trees one
-  *     simulation pass is exact, which is what makes TM competitive on
-  *     tree-shaped workloads);
+  *  2. evaluate the tree query with the tree-pattern algorithm of [59]:
+  *     tree double simulation builds a tree RIG (the answer graph), which
+  *     [[MJoin]] enumerates on the driver — for trees one simulation pass is
+  *     exact, which is what makes TM competitive on tree-shaped workloads;
   *  3. stream the tree solutions and post-filter each against the pattern
   *     edges *missing* from the tree, checking direct edges on adjacency
   *     lists and reachability edges on the BFL index.
@@ -24,51 +23,32 @@ import repro.pattern.{Direct, PEdge, Pattern, Reach}
   */
 object TM {
 
-  /** Counts occurrences of `p`; enumeration is distributed over tree-RIG
-    * seeds like [[MJoin.answerDF]]. Honors the cooperative deadline in
-    * [[repro.util.Timing]].
+  /** Counts occurrences of `p` by enumerating the tree RIG with
+    * [[MJoin.enumerate]] on the driver and post-filtering every tree solution.
+    * Honors the cooperative deadline in [[repro.util.Timing]].
     */
-  def countMatches(spark: SparkSession, ops: ReachOps, bfl: BFL, p: Pattern,
-                   limit: Long = Long.MaxValue,
-                   prefilter: Boolean = true): Long = {
+  def countMatches(ops: ReachOps, bfl: BFL, p: Pattern,
+                   limit: Long = Long.MaxValue): Long = {
+    val (rig, order, missing) = prepare(ops, p)
+    var count = 0L
+    MJoin.enumerate(rig, order) { t =>
+      if (satisfiesMissing(ops.g, bfl, missing, t)) count += 1
+      count < limit
+    }
+    count
+  }
+
+  /** The tree RIG of `p`'s spanning tree, its JO search order, and the
+    * pattern edges the tree leaves out.
+    */
+  private[baselines] def prepare(ops: ReachOps, p: Pattern): (RIG, Array[Int], Seq[PEdge]) = {
     val treeP = spanningTree(p)
     val missing = p.edges.filterNot(treeP.edges.contains)
-    val init =
-      if (prefilter) Simulation.prefilter(ops, p) // pre-filter uses the full pattern
-      else Simulation.matchSets(ops, p)
+    val init = Simulation.prefilter(ops, p) // pre-filter uses the full pattern
     // Tree double simulation stabilizes in one pass (paper §4.4 / [59]).
     val sim = Simulation.fbSim(ops, treeP, init, maxPasses = 2)
     val rig = RIG.expand(ops, treeP, sim.fb)
-    if (rig.isEmpty) return 0L
-    val order = SearchOrder.jo(rig)
-
-    val seeds = rig.cos(order(0))
-    val sc = spark.sparkContext
-    if (seeds.length < 64) {
-      var count = 0L
-      MJoin.enumerate(rig, order) { t =>
-        if (satisfiesMissing(ops.g, bfl, missing, t)) count += 1
-        count < limit
-      }
-      count
-    } else {
-      val bRig = sc.broadcast(rig)
-      val bBfl = sc.broadcast(bfl)
-      val parts = math.max(1, math.min(sc.defaultParallelism * 4, seeds.length / 16))
-      val total = sc.parallelize(seeds.toIndexedSeq, parts)
-        .mapPartitions { it =>
-          val rigL = bRig.value; val bflL = bBfl.value
-          var count = 0L
-          MJoin.enumerateSeeds(rigL, order, it.toArray) { t =>
-            if (satisfiesMissing(bflL.g, bflL, missing, t)) count += 1
-            count < limit
-          }
-          Iterator.single(count)
-        }
-        .fold(0L)(_ + _)
-      bRig.destroy(); bBfl.destroy()
-      math.min(total, limit)
-    }
+    (rig, SearchOrder.jo(rig), missing)
   }
 
   /** Post-filter: does tuple `t` also satisfy the pattern edges the tree left out? */

@@ -35,7 +35,7 @@ object QueryRunners {
   def tm(spark: SparkSession, ops: ReachOps, bfl: BFL, p: Pattern,
          timeoutSec: Double = BenchEnv.timeoutSec,
          limit: Long = BenchEnv.limit): Outcome =
-    Timing.run(spark, timeoutSec)(TM.countMatches(spark, ops, bfl, p, limit))
+    Timing.run(spark, timeoutSec)(TM.countMatches(ops, bfl, p, limit))
 
   def neo(spark: SparkSession, ops: ReachOps, p: Pattern,
           timeoutSec: Double = BenchEnv.timeoutSec,

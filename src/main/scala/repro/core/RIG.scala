@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import org.roaringbitmap.RoaringBitmap
 import repro.graph.reach.ReachOps
-import repro.pattern.{Direct, Pattern, Reach}
+import repro.pattern.{Direct, EdgeKind, Pattern, Reach}
 import repro.util.Timing
 
 /** Runtime Index Graph (paper §4, Def. 4.1).
@@ -74,32 +74,7 @@ object RIG {
       return new RIG(p, cos.map(_ => Array.emptyIntArray), empty, empty)
     }
 
-    val fwd = new Array[Array[Array[Int]]](p.numEdges)
-    for (ei <- p.edges.indices) {
-      val e = p.edges(ei)
-      val row: Int => Array[Int] = e.kind match {
-        case Reach => ops.targeted(cos(e.to)).from
-        case Direct =>
-          // adj_f(vp) ∩ cos(q): stream the sorted adjacency row through the bitmap.
-          val g = ops.g
-          val targetSet = cosSets(e.to)
-          vp => {
-            val out = new scala.collection.mutable.ArrayBuilder.ofInt
-            var i = g.fwdOff(vp)
-            while (i < g.fwdOff(vp + 1)) {
-              val w = g.fwdAdj(i)
-              if (targetSet.contains(w)) out += w
-              i += 1
-            }
-            out.result()
-          }
-      }
-      val sources = cos(e.from)
-      fwd(ei) = Array.tabulate(sources.length) { sp =>
-        if (sp % DeadlineStride == 0) Timing.checkDeadline()
-        row(sources(sp))
-      }
-    }
+    val fwd = p.edges.map(e => edgeMatches(ops, e.kind, cos(e.from), cosSets(e.to))).toArray
 
     // Derive backward adjacency from the forward lists.
     val bwd = new Array[Array[Array[Int]]](p.numEdges)
@@ -125,6 +100,35 @@ object RIG {
       bwd(ei) = lists
     }
     new RIG(p, cos, fwd, bwd)
+  }
+
+  /** Edge matches ms(e) over candidate sets (paper §4.1): row `i` holds the
+    * sorted members of `targets` that `sources(i)` matches across an edge of
+    * kind `kind`. The one producer of edge matches: RIG expansion and JM's
+    * edge relations both call it.
+    */
+  def edgeMatches(ops: ReachOps, kind: EdgeKind, sources: Array[Int],
+                  targets: RoaringBitmap): Array[Array[Int]] = {
+    val row: Int => Array[Int] = kind match {
+      case Reach => ops.targeted(targets.toArray).from
+      case Direct =>
+        // adj_f(vp) ∩ targets: stream the sorted adjacency row through the bitmap.
+        val g = ops.g
+        vp => {
+          val out = new scala.collection.mutable.ArrayBuilder.ofInt
+          var i = g.fwdOff(vp)
+          while (i < g.fwdOff(vp + 1)) {
+            val w = g.fwdAdj(i)
+            if (targets.contains(w)) out += w
+            i += 1
+          }
+          out.result()
+        }
+    }
+    Array.tabulate(sources.length) { sp =>
+      if (sp % DeadlineStride == 0) Timing.checkDeadline()
+      row(sources(sp))
+    }
   }
 
   /** Full BuildRIG: select (double simulation) then expand. */

@@ -3,6 +3,7 @@ package repro.engines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.graph.reach.TransitiveClosure
 import repro.pattern.{Direct, Pattern, Reach}
 import repro.util.Timing
 
@@ -65,37 +66,16 @@ object NeoLike {
     n
   }
 
-  /** APOC-style reachability expansion from the given start nodes: semi-naive
-    * frontier joins over the edge list until fixpoint (or iteration cap).
-    * Returns (src, dst) pairs with a >=1-edge path.
+  /** APOC-style reachability expansion from the given start nodes: the
+    * semi-naive frontier joins of [[TransitiveClosure.semiNaive]] seeded with
+    * the start nodes' out-edges, budget-checked every round. Returns
+    * (src, dst) pairs with a >=1-edge path.
     */
   def expandReach(spark: SparkSession, edges: DataFrame, startNodes: DataFrame,
                   budgetRows: Long, maxIters: Int): DataFrame = {
-    // Eager materialization (MaterializeDF): the union lineage would
-    // otherwise grow with the iteration count and replay the whole history.
-    var reached = edges.as("e")
+    val seed = edges.as("e")
       .join(startNodes.as("s"), col("e.src") === col("s.id"))
       .select(col("e.src").as("src"), col("e.dst").as("dst"))
-      .distinct()
-      .transform(d => repro.util.MaterializeDF.checkpoint(spark, d))
-    var delta = reached
-    var iter = 0
-    var done = false
-    while (!done && iter < maxIters) {
-      Timing.checkDeadline()
-      val grown = delta.as("d")
-        .join(edges.as("e"), col("d.dst") === col("e.src"))
-        .select(col("d.src").as("src"), col("e.dst").as("dst"))
-        .distinct()
-      val next = repro.util.MaterializeDF.checkpoint(spark, grown.except(reached))
-      if (next.isEmpty) done = true
-      else {
-        reached = repro.util.MaterializeDF.checkpoint(spark, reached.unionByName(next).distinct())
-        checkBudget(reached, budgetRows)
-        delta = next
-      }
-      iter += 1
-    }
-    reached
+    TransitiveClosure.semiNaive(spark, seed, edges, maxIters)(checkBudget(_, budgetRows))
   }
 }

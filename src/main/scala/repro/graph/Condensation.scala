@@ -27,21 +27,17 @@ final class Condensation(
     /** component -> sorted member node ids (CSR). */
     val memberOff: Array[Int],
     val memberAdj: Array[Int],
-) extends Serializable {
+) {
 
   /** True iff the component contains a directed cycle (size >= 2; the input
     * graphs carry no self-loops, see [[Graph.fromEdges]]).
     */
   def isCyclic(c: Int): Boolean = compSize(c) >= 2
 
-  def members(c: Int): IndexedSeq[Int] =
-    (memberOff(c) until memberOff(c + 1)).map(memberAdj)
-
-  def dagChildren(c: Int): IndexedSeq[Int] =
-    (dagOff(c) until dagOff(c + 1)).map(dagAdj)
-
-  def dagParents(c: Int): IndexedSeq[Int] =
-    (dagBwdOff(c) until dagBwdOff(c + 1)).map(dagBwdAdj)
+  // CSR rows as views over the backing arrays (do not mutate).
+  def members(c: Int): IndexedSeq[Int] = new ArraySlice(memberAdj, memberOff(c), memberOff(c + 1))
+  def dagChildren(c: Int): IndexedSeq[Int] = new ArraySlice(dagAdj, dagOff(c), dagOff(c + 1))
+  def dagParents(c: Int): IndexedSeq[Int] = new ArraySlice(dagBwdAdj, dagBwdOff(c), dagBwdOff(c + 1))
 }
 
 object Condensation {

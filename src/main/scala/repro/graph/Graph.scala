@@ -8,10 +8,9 @@ import org.roaringbitmap.RoaringBitmap
   * and backward CSR) with neighbor arrays sorted ascending, so membership
   * checks are binary searches and unions/intersections stream in order.
   *
-  * The paper's algorithms (simulation, RIG expansion, MJoin counting) are
-  * in-memory and run on the driver over this CSR. It is also `Serializable`
-  * and small enough to broadcast to the Spark paths that still read it: JM's
-  * edge-match relations and TM's distributed enumeration.
+  * The paper's algorithms (simulation, RIG expansion, MJoin counting) and
+  * the JM/TM baselines are in-memory and run on the driver over this CSR.
+  * It stays `Serializable` only because [[GraphDF]]'s RDD closures capture it.
   *
   * @param labels     node id -> label id
   * @param labelNames label id -> label name
@@ -95,6 +94,11 @@ private final class ArraySlice(a: Array[Int], from: Int, until: Int)
     extends IndexedSeq[Int] with Serializable {
   def apply(i: Int): Int = a(from + i)
   def length: Int = until - from
+  // The inherited foreach walks a view iterator; the DAG-slice DFS loops call it per component.
+  override def foreach[U](f: Int => U): Unit = {
+    var i = from
+    while (i < until) { f(a(i)); i += 1 }
+  }
 }
 
 object Graph {

@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
   *
   * The public query API of every matcher in this repo is DataFrame-first
   * (`nodes(id, label)`, `edges(src, dst)` in; answer DataFrame out); the CSR
-  * image is the broadcastable in-memory form the paper's algorithms run on.
+  * image is the driver-side in-memory form the paper's algorithms run on.
   */
 object GraphDF {
 

@@ -26,7 +26,7 @@ final class BFL(
     lout: Array[Long],
     lin: Array[Long],
     words: Int,
-) extends Serializable {
+) {
 
   private def subsetOf(child: Array[Long], co: Int, parent: Array[Long], po: Int): Boolean = {
     var i = 0

@@ -15,9 +15,9 @@ import repro.graph.{Condensation, Graph}
   * reasoning happens on the SCC condensation whose component ids are
   * topologically ordered (see [[repro.graph.Condensation]]). Pairwise
   * `u ≺ v` checks are not here: they go through the BFL index
-  * ([[BFL.reaches]]).
+  * ([[BFL.reaches]]). Driver-side only: nothing ships it to executors.
   */
-final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable {
+final class ReachOps(val g: Graph, val cond: Condensation) {
 
   /** Nodes with an edge *into* some node of `s` (one step back). */
   def predsOf(s: RoaringBitmap): RoaringBitmap = {
@@ -95,11 +95,11 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
   }
 
   /** For a fixed target node set, answers "which targets does node u reach?"
-    * quickly and repeatedly — the workhorse of RIG reachability-edge expansion
-    * and of JM's reachability-edge match sets. Results are cached per
+    * quickly and repeatedly — the reachability half of [[repro.core.RIG.edgeMatches]],
+    * behind RIG expansion and JM's edge relations. Results are cached per
     * component, so expanding many sources inside the same SCC costs one DFS.
     */
-  final class TargetedReach(targets: Array[Int]) extends Serializable {
+  final class TargetedReach(targets: Array[Int]) {
     private val c = cond
     // comp -> sorted member targets
     private val targetsByComp: java.util.HashMap[Integer, Array[Int]] = {
@@ -127,7 +127,7 @@ final class ReachOps(val g: Graph, val cond: Condensation) extends Serializable 
       r
     }
     // memo: comp -> reachable targets (strictly across DAG edges)
-    @transient private lazy val memo =
+    private val memo =
       new java.util.concurrent.ConcurrentHashMap[Integer, Array[Int]]()
 
     /** Sorted target node ids reachable from `u` (>=1 edge paths). */

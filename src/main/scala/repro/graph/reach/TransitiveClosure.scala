@@ -19,16 +19,24 @@ import repro.graph.Graph
   */
 object TransitiveClosure {
 
-  /** Distributed semi-naive closure: DataFrame (src, dst).
+  /** Distributed semi-naive closure: DataFrame (src, dst). */
+  def dataframe(spark: SparkSession, edges: DataFrame, maxIterations: Int = 64): DataFrame =
+    semiNaive(spark, edges.select(col("src"), col("dst")), edges, maxIterations)(_ => ())
+
+  /** Semi-naive fixpoint: starting from the (src, dst) pairs of `seed`, joins
+    * each round's new pairs with `edges` until no pair is added or
+    * `maxIterations` rounds ran. `onRound` sees the accumulated pairs after
+    * every round that grew them.
     *
-    * Each round's delta and the accumulated closure are eagerly materialized
+    * Each round's delta and the accumulated pairs are eagerly materialized
     * via [[repro.util.MaterializeDF]]: the union lineage would otherwise grow
     * with the iteration count and re-evaluate the whole history. Honors the
     * cooperative deadline of [[repro.util.Timing]] so bench timeouts can stop
     * the fixpoint between rounds.
     */
-  def dataframe(spark: SparkSession, edges: DataFrame, maxIterations: Int = 64): DataFrame = {
-    var closure = repro.util.MaterializeDF.checkpoint(spark, edges.select(col("src"), col("dst")).distinct())
+  def semiNaive(spark: SparkSession, seed: DataFrame, edges: DataFrame, maxIterations: Int)
+               (onRound: DataFrame => Unit): DataFrame = {
+    var closure = repro.util.MaterializeDF.checkpoint(spark, seed.distinct())
     var delta = closure
     var iter = 0
     var converged = false
@@ -42,6 +50,7 @@ object TransitiveClosure {
       if (next.isEmpty) converged = true
       else {
         closure = repro.util.MaterializeDF.checkpoint(spark, closure.unionByName(next).distinct())
+        onRound(closure)
         delta = next
       }
       iter += 1

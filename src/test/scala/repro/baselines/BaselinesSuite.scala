@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.{BruteForce, SeededChecks, SparkSpec}
+import repro.core.GM
 import repro.graph.GraphGen
 import repro.graph.reach.{BFL, ReachOps}
 import repro.pattern.{Pattern, PEdge, Direct, Reach, Templates}
@@ -29,12 +30,10 @@ class JMSuite extends SparkSpec with SeededChecks {
     }
   }
 
-  test("JM without prefilter still agrees") {
-    val g = GraphGen.random(25, 60, 3, seed = 9)
-    val ops = ReachOps(g)
-    val p = Templates.hQuery(7, g)
-    assert(JM.countMatches(spark, ops, p, prefilter = false) ==
-      BruteForce.answer(g, p).size)
+  test("JM counts the candidates of a single-node pattern") {
+    val g = GraphGen.random(20, 40, 3, seed = 4)
+    val p = Pattern("S", Vector("l0"), Vector.empty)
+    assert(JM.countMatches(spark, ReachOps(g), p) == BruteForce.answer(g, p).size)
   }
 
   test("tiny row budget triggers SimulatedOOM (intermediate explosion model)") {
@@ -44,6 +43,18 @@ class JMSuite extends SparkSpec with SeededChecks {
     intercept[Timing.SimulatedOOM] {
       JM.countMatches(spark, ops, p, budgetRows = 3)
     }
+  }
+
+  test("an over-budget edge relation fails before any Spark job") {
+    val g = GraphGen.random(60, 200, 2, seed = 3)
+    val ops = ReachOps(g)
+    val p = Templates.dQuery(0, g)
+    val (_, jobs) = sparkJobsDuring {
+      intercept[Timing.SimulatedOOM] {
+        JM.countMatches(spark, ops, p, budgetRows = 3)
+      }
+    }
+    assert(jobs == 0)
   }
 
   test("left-deep plans are connected and cover every edge") {
@@ -91,7 +102,7 @@ class TMSuite extends SparkSpec with SeededChecks {
       val ops = ReachOps(g)
       val bfl = BFL.build(g, ops.cond)
       val p = Templates.randomPattern(g, n = 4, extraEdges = 2, reachProb = 0.5, seed, "T")
-      val got = TM.countMatches(spark, ops, bfl, p)
+      val got = TM.countMatches(ops, bfl, p)
       assert(got == BruteForce.answer(g, p).size, s"seed=$seed")
     }
   }
@@ -102,7 +113,7 @@ class TMSuite extends SparkSpec with SeededChecks {
     val bfl = BFL.build(g, ops.cond)
     Seq(6, 9, 11).foreach { id =>
       val p = Templates.hQuery(id, g)
-      assert(TM.countMatches(spark, ops, bfl, p) == BruteForce.answer(g, p).size, s"HQ$id")
+      assert(TM.countMatches(ops, bfl, p) == BruteForce.answer(g, p).size, s"HQ$id")
     }
   }
 
@@ -111,7 +122,7 @@ class TMSuite extends SparkSpec with SeededChecks {
     val ops = ReachOps(g)
     val bfl = BFL.build(g, ops.cond)
     val p = Templates.hQuery(2, g) // HQ2 is a tree
-    assert(TM.countMatches(spark, ops, bfl, p) == BruteForce.answer(g, p).size)
+    assert(TM.countMatches(ops, bfl, p) == BruteForce.answer(g, p).size)
   }
 
   test("limit caps TM counts") {
@@ -119,7 +130,19 @@ class TMSuite extends SparkSpec with SeededChecks {
     val ops = ReachOps(g)
     val bfl = BFL.build(g, ops.cond)
     val p = Templates.hQuery(0, g)
-    val full = TM.countMatches(spark, ops, bfl, p)
-    if (full > 2) assert(TM.countMatches(spark, ops, bfl, p, limit = 2) == 2)
+    val full = TM.countMatches(ops, bfl, p)
+    if (full > 2) assert(TM.countMatches(ops, bfl, p, limit = 2) == 2)
+  }
+
+  test("TM counts on the driver: no Spark job even with ≥64 seeds") {
+    val g = GraphGen.random(400, 1600, 3, seed = 11)
+    val ops = ReachOps(g)
+    val bfl = BFL.build(g, ops.cond)
+    val p = Templates.hQuery(0, g)
+    val (rig, order, _) = TM.prepare(ops, p)
+    assert(rig.cos(order(0)).length >= 64, "too few seeds to have distributed the count")
+    val (count, jobs) = sparkJobsDuring(TM.countMatches(ops, bfl, p, limit = 100000L))
+    assert(jobs == 0)
+    assert(count == GM.countMatches(spark, ops, p, GM.Config(limit = 100000L))._1)
   }
 }

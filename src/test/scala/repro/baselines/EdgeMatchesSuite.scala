@@ -16,7 +16,9 @@ class EdgeMatchesSuite extends SparkSpec with SeededChecks {
       val ops = ReachOps(g)
       val p = Pattern("E", Vector("l0", "l1"), Vector(PEdge(0, 1, Direct)))
       val cand = repro.core.Simulation.matchSets(ops, p)
-      val got = pairsOf(EdgeMatches.matchDF(spark, ops, p, 0, cand))
+      val (df, rows) = JM.edgeRelation(spark, ops, p, 0, cand)
+      val got = pairsOf(df)
+      assert(rows == got.size, s"seed=$seed")
       val exp = g.edgeIterator.filter { case (u, v) =>
         g.labels(u) == 0 && g.labels(v) == 1
       }.toSet
@@ -30,7 +32,9 @@ class EdgeMatchesSuite extends SparkSpec with SeededChecks {
       val ops = ReachOps(g)
       val p = Pattern("E", Vector("l0", "l1"), Vector(PEdge(0, 1, Reach)))
       val cand = repro.core.Simulation.matchSets(ops, p)
-      val got = pairsOf(EdgeMatches.matchDF(spark, ops, p, 0, cand))
+      val (df, rows) = JM.edgeRelation(spark, ops, p, 0, cand)
+      val got = pairsOf(df)
+      assert(rows == got.size, s"seed=$seed")
       val reach = BruteForce.reachMatrix(g)
       val exp = (for {
         u <- 0 until g.numNodes if g.labels(u) == 0
@@ -46,8 +50,8 @@ class EdgeMatchesSuite extends SparkSpec with SeededChecks {
     val p = Pattern("E", Vector("l0", "l1", "l0"),
       Vector(PEdge(0, 1, Direct), PEdge(2, 1, Reach)))
     val cand = repro.core.Simulation.matchSets(ops, p)
-    assert(EdgeMatches.matchDF(spark, ops, p, 0, cand).columns.toSeq == Seq("q0", "q1"))
-    assert(EdgeMatches.matchDF(spark, ops, p, 1, cand).columns.toSeq == Seq("q2", "q1"))
+    assert(JM.edgeRelation(spark, ops, p, 0, cand)._1.columns.toSeq == Seq("q0", "q1"))
+    assert(JM.edgeRelation(spark, ops, p, 1, cand)._1.columns.toSeq == Seq("q2", "q1"))
   }
 
   test("empty candidate sets yield an empty relation") {
@@ -55,7 +59,7 @@ class EdgeMatchesSuite extends SparkSpec with SeededChecks {
     val ops = ReachOps(g)
     val p = Pattern("E", Vector("l0", "zz"), Vector(PEdge(0, 1, Direct)))
     val cand = repro.core.Simulation.matchSets(ops, p)
-    assert(EdgeMatches.matchDF(spark, ops, p, 0, cand).count() == 0)
+    assert(JM.edgeRelation(spark, ops, p, 0, cand)._1.count() == 0)
   }
 
   test("candidate restriction filters the relation") {
@@ -67,7 +71,7 @@ class EdgeMatchesSuite extends SparkSpec with SeededChecks {
     val half = full(0).toArray.take(full(0).getCardinality / 2)
     restricted(0).clear()
     half.foreach(restricted(0).add)
-    val got = pairsOf(EdgeMatches.matchDF(spark, ops, p, 0, restricted))
+    val got = pairsOf(JM.edgeRelation(spark, ops, p, 0, restricted)._1)
     assert(got.forall { case (u, _) => half.contains(u) })
   }
 }
