@@ -82,6 +82,7 @@ object MJoin {
     val t = new Array[Int](rig.pattern.numNodes) // indexed by query node id
     val bound = new Array[Int](n)                // indexed by order position
     var emitted = 0L
+    var steps = 0L // the deadline is checked per 1024 search steps, so dead ends count too
     var stop = false
 
     def step(i: Int): Unit = {
@@ -91,7 +92,8 @@ object MJoin {
         if (!emit(t.clone()) || emitted >= limit) stop = true
         return
       }
-      if ((emitted & 0x3ff) == 0) Timing.checkDeadline()
+      steps += 1
+      if ((steps & 0x3ff) == 0) Timing.checkDeadline()
       val q = order(i)
       val lists = cons(i).map { c =>
         val boundNode = bound(c.boundPos)

@@ -17,7 +17,10 @@ import repro.util.Timing
   * @param fwdAdj per pattern edge index: for each position in cos(e.from),
   *               the sorted successors within cos(e.to)
   * @param bwdAdj per pattern edge index: for each position in cos(e.to),
-  *               the sorted predecessors within cos(e.from)
+  *               the sorted predecessors within cos(e.from), built by the
+  *               reverse direction of the same row kernel ([[RIG.edgeMatches]])
+  *
+  * Rows are read-only: members of one SCC share a single reachability row.
   */
 final class RIG(
     val pattern: Pattern,
@@ -54,7 +57,8 @@ final class RIG(
   * expansion with incident edges. Direct edges expand by intersecting graph
   * adjacency rows with cos(q) (the paper's `bitBat`); reachability edges
   * expand through [[ReachOps.TargetedReach]] (condensation-DFS with region
-  * pruning and per-SCC memoization). Expansion is in-memory on the driver,
+  * pruning, one row per SCC). Both adjacency directions come from the same
+  * kernel, run forward and backward. Expansion is in-memory on the driver,
   * as in the paper, and honours the cooperative deadline in [[Timing]].
   */
 object RIG {
@@ -75,50 +79,31 @@ object RIG {
     }
 
     val fwd = p.edges.map(e => edgeMatches(ops, e.kind, cos(e.from), cosSets(e.to))).toArray
-
-    // Derive backward adjacency from the forward lists.
-    val bwd = new Array[Array[Array[Int]]](p.numEdges)
-    for (ei <- p.edges.indices) {
-      val e = p.edges(ei)
-      val counts = new Array[Int](cos(e.to).length)
-      val posOfTarget = new java.util.HashMap[Integer, Integer]()
-      cos(e.to).zipWithIndex.foreach { case (v, i) => posOfTarget.put(v, i) }
-      fwd(ei).foreach(_.foreach(v => counts(posOfTarget.get(v)) += 1))
-      val lists = counts.map(new Array[Int](_))
-      val fill = new Array[Int](counts.length)
-      var sp = 0
-      while (sp < cos(e.from).length) {
-        val vp = cos(e.from)(sp)
-        fwd(ei)(sp).foreach { v =>
-          val tp = posOfTarget.get(v)
-          lists(tp)(fill(tp)) = vp; fill(tp) += 1
-        }
-        sp += 1
-      }
-      // Source positions are visited ascending over sorted cos(from), so each
-      // backward list is already sorted.
-      bwd(ei) = lists
-    }
+    val bwd = p.edges.map(e =>
+      edgeMatches(ops, e.kind, cos(e.to), cosSets(e.from), forward = false)).toArray
     new RIG(p, cos, fwd, bwd)
   }
 
-  /** Edge matches ms(e) over candidate sets (paper §4.1): row `i` holds the
-    * sorted members of `targets` that `sources(i)` matches across an edge of
-    * kind `kind`. The one producer of edge matches: RIG expansion and JM's
-    * edge relations both call it.
+  /** Edge matches ms(e) over candidate sets (paper §4.1) for an edge of kind
+    * `kind`: row `i` holds the sorted members `t` of `targets` with
+    * `(sources(i), t)` in ms(e), or with `(t, sources(i))` when `!forward`
+    * (the backward adjacency). The one producer of edge matches: RIG
+    * expansion and JM's edge relations both call it. Rows may be shared
+    * between sources: do not mutate them.
     */
   def edgeMatches(ops: ReachOps, kind: EdgeKind, sources: Array[Int],
-                  targets: RoaringBitmap): Array[Array[Int]] = {
+                  targets: RoaringBitmap, forward: Boolean = true): Array[Array[Int]] = {
     val row: Int => Array[Int] = kind match {
-      case Reach => ops.targeted(targets.toArray).from
+      case Reach => ops.targeted(targets.toArray, forward).from
       case Direct =>
-        // adj_f(vp) ∩ targets: stream the sorted adjacency row through the bitmap.
+        // adj(vp) ∩ targets: stream the sorted adjacency row through the bitmap.
         val g = ops.g
+        val (off, adj) = if (forward) (g.fwdOff, g.fwdAdj) else (g.bwdOff, g.bwdAdj)
         vp => {
           val out = new scala.collection.mutable.ArrayBuilder.ofInt
-          var i = g.fwdOff(vp)
-          while (i < g.fwdOff(vp + 1)) {
-            val w = g.fwdAdj(i)
+          var i = off(vp)
+          while (i < off(vp + 1)) {
+            val w = adj(i)
             if (targets.contains(w)) out += w
             i += 1
           }

@@ -94,93 +94,106 @@ final class ReachOps(val g: Graph, val cond: Condensation) {
     out
   }
 
-  /** For a fixed target node set, answers "which targets does node u reach?"
-    * quickly and repeatedly — the reachability half of [[repro.core.RIG.edgeMatches]],
-    * behind RIG expansion and JM's edge relations. Results are cached per
-    * component, so expanding many sources inside the same SCC costs one DFS.
+  /** For a fixed target node set, answers "which targets does u reach?"
+    * (`forward`) or "which targets reach u?" (`!forward`), by >=1-edge paths:
+    * the reachability half of [[repro.core.RIG.edgeMatches]]. One DFS per
+    * component over the condensation DAG, pruned to the region of components
+    * that reach (backward: are reached from) a target component. Its whole
+    * row, a cyclic component's own targets included, is memoised, so all
+    * members of an SCC share one read-only array. The DFS reuses region-sized
+    * scratch arrays and allocates only the row. Not thread-safe; `targets`
+    * must be distinct.
     */
-  final class TargetedReach(targets: Array[Int]) {
+  final class TargetedReach(targets: Array[Int], forward: Boolean) {
     private val c = cond
-    // comp -> sorted member targets
-    private val targetsByComp: java.util.HashMap[Integer, Array[Int]] = {
-      val m = new java.util.HashMap[Integer, Array[Int]]()
-      targets.groupBy(c.comp(_)).foreach { case (k, vs) =>
-        java.util.Arrays.sort(vs); m.put(k, vs)
+    private val (walkOff, walkAdj, backOff, backAdj) =
+      if (forward) (c.dagOff, c.dagAdj, c.dagBwdOff, c.dagBwdAdj)
+      else (c.dagBwdOff, c.dagBwdAdj, c.dagOff, c.dagAdj)
+    // slot(comp) = 1 + the comp's region index, 0 outside the region. The
+    // region grows against the walk from the target comps, which come first.
+    private val slot = new Array[Int](c.numComps)
+    private val (regionSize, numTargetComps) = {
+      val queue = new Array[Int](c.numComps)
+      var n = 0
+      def add(comp: Int): Unit =
+        if (slot(comp) == 0) { queue(n) = comp; n += 1; slot(comp) = n }
+      targets.foreach(t => add(c.comp(t)))
+      val numTargetComps = n
+      var i = 0
+      while (i < n) {
+        var j = backOff(queue(i))
+        while (j < backOff(queue(i) + 1)) { add(backAdj(j)); j += 1 }
+        i += 1
       }
-      m
+      (n, numTargetComps)
     }
-    private val targetComps: Array[Int] = {
-      val a = targetsByComp.keySet().toArray.map(_.asInstanceOf[Integer].intValue)
-      java.util.Arrays.sort(a); a
+    // Targets grouped by region index: group r is tgt[tgtOff(r), tgtOff(r + 1)).
+    private val tgtOff = new Array[Int](numTargetComps + 1)
+    private val tgt = new Array[Int](targets.length)
+    targets.foreach(t => tgtOff(slot(c.comp(t)) - 1) += 1)
+    (1 to numTargetComps).foreach(r => tgtOff(r) += tgtOff(r - 1))
+    targets.reverseIterator.foreach { t =>
+      val r = slot(c.comp(t)) - 1
+      tgtOff(r) -= 1; tgt(tgtOff(r)) = t
     }
-    // comps that can reach (or are) a target comp: DFS region restriction
-    private val region: java.util.BitSet = {
-      val r = new java.util.BitSet(c.numComps)
-      val stack = new scala.collection.mutable.ArrayDeque[Int]()
-      targetComps.foreach { tc => if (!r.get(tc)) { r.set(tc); stack.prepend(tc) } }
-      while (stack.nonEmpty) {
-        val comp = stack.removeHead()
-        c.dagParents(comp).foreach { p =>
-          if (!r.get(p)) { r.set(p); stack.prepend(p) }
-        }
-      }
-      r
-    }
-    // memo: comp -> reachable targets (strictly across DAG edges)
-    private val memo =
-      new java.util.concurrent.ConcurrentHashMap[Integer, Array[Int]]()
 
-    /** Sorted target node ids reachable from `u` (>=1 edge paths). */
+    private val memo = new Array[Array[Int]](regionSize)
+    // DFS scratch, reused across calls. Each memo miss takes a fresh epoch;
+    // there are at most regionSize of them, so it never wraps.
+    private val stamp = new Array[Int](regionSize)
+    private var epoch = 0
+    private val stack = new Array[Int](regionSize)
+    private val hits = new Array[Int](numTargetComps)
+
+    /** Sorted targets that `u` reaches (forward) or that reach `u`
+      * (backward). Shared by the members of an SCC: do not mutate.
+      */
     def from(u: Int): Array[Int] = {
       val cu = c.comp(u)
-      val strict = strictFromComp(cu)
-      if (c.isCyclic(cu)) {
-        val own = targetsByComp.get(cu)
-        if (own == null) strict else merge(strict, own)
-      } else strict
-    }
-
-    /** Targets in comps strictly below `comp` in the DAG. */
-    private def strictFromComp(comp: Int): Array[Int] = {
-      val hit = memo.get(comp)
-      if (hit != null) return hit
-      val seen = new java.util.BitSet(c.numComps)
-      val stack = new scala.collection.mutable.ArrayDeque[Int]()
-      val acc = new scala.collection.mutable.ArrayBuffer[Int]()
-      stack.prepend(comp)
-      while (stack.nonEmpty) {
-        val cc = stack.removeHead()
-        c.dagChildren(cc).foreach { k =>
-          if (region.get(k) && !seen.get(k)) {
-            seen.set(k)
-            val t = targetsByComp.get(k)
-            if (t != null) acc ++= t
-            stack.prepend(k)
+      val r = slot(cu) - 1
+      if (r < 0) return Array.emptyIntArray
+      if (memo(r) != null) return memo(r)
+      epoch += 1
+      stamp(r) = epoch
+      // In-SCC paths have >=1 edge, so a cyclic comp reaches its own targets.
+      var nHits = if (r < numTargetComps && c.isCyclic(cu)) { hits(0) = r; 1 } else 0
+      stack(0) = cu
+      var top = 1
+      while (top > 0) {
+        top -= 1
+        val cc = stack(top)
+        var j = walkOff(cc)
+        while (j < walkOff(cc + 1)) {
+          val k = walkAdj(j)
+          val rk = slot(k) - 1
+          if (rk >= 0 && stamp(rk) != epoch) {
+            stamp(rk) = epoch
+            if (rk < numTargetComps) { hits(nHits) = rk; nHits += 1 }
+            stack(top) = k; top += 1
           }
+          j += 1
         }
       }
-      val out = acc.toArray
-      java.util.Arrays.sort(out)
-      memo.put(comp, out)
-      out
-    }
-
-    private def merge(a: Array[Int], b: Array[Int]): Array[Int] = {
-      val out = new Array[Int](a.length + b.length)
-      var i = 0; var j = 0; var k = 0
-      while (i < a.length && j < b.length) {
-        if (a(i) < b(j)) { out(k) = a(i); i += 1 }
-        else if (a(i) > b(j)) { out(k) = b(j); j += 1 }
-        else { out(k) = a(i); i += 1; j += 1 }
-        k += 1
+      var size = 0
+      var h = 0
+      while (h < nHits) { size += tgtOff(hits(h) + 1) - tgtOff(hits(h)); h += 1 }
+      val out = if (size == 0) Array.emptyIntArray else new Array[Int](size)
+      var pos = 0
+      h = 0
+      while (h < nHits) {
+        val rk = hits(h)
+        val len = tgtOff(rk + 1) - tgtOff(rk)
+        System.arraycopy(tgt, tgtOff(rk), out, pos, len)
+        pos += len; h += 1
       }
-      while (i < a.length) { out(k) = a(i); i += 1; k += 1 }
-      while (j < b.length) { out(k) = b(j); j += 1; k += 1 }
-      if (k == out.length) out else java.util.Arrays.copyOf(out, k)
+      java.util.Arrays.sort(out)
+      memo(r) = out
+      out
     }
   }
 
-  def targeted(targets: Array[Int]): TargetedReach = new TargetedReach(targets)
+  def targeted(targets: Array[Int], forward: Boolean = true): TargetedReach =
+    new TargetedReach(targets, forward)
 }
 
 object ReachOps {

@@ -3,7 +3,8 @@ package repro.core
 import repro.{BruteForce, Oracle, SeededChecks, SparkSpec}
 import repro.graph.{GraphDF, GraphGen}
 import repro.graph.reach.{ReachOps, TransitiveClosure}
-import repro.pattern.{PatternSQL, Templates}
+import repro.pattern.{Direct, PEdge, Pattern, PatternSQL, Templates}
+import repro.util.Timing
 
 class MJoinSuite extends SparkSpec with SeededChecks {
 
@@ -80,6 +81,36 @@ class MJoinSuite extends SparkSpec with SeededChecks {
       Oracle.assertEquivalent(df, PatternSQL.sql(p),
         "nodes" -> nodes, "edges" -> edges, "reach" -> reach)
     }
+  }
+
+  test("the deadline stops a search that stalls after its first match") {
+    // Hand-built RIG over q0 -> q1, q0 -> q2, q1 -> q2 (order q0, q1, q2).
+    // Seed 0 yields the one match (0, 0, 0); every other seed pairs each of
+    // its q1 candidates with a fruitless intersection of evens and odds.
+    val (seeds, mids, half) = (800, 1000, 1000)
+    val evens = Array.range(0, 2 * half, 2)
+    val odds = Array.range(1, 2 * half, 2)
+    val zero = Array(0)
+    val p = Pattern("T", Vector("a", "b", "c"),
+      Vector(PEdge(0, 1, Direct), PEdge(0, 2, Direct), PEdge(1, 2, Direct)))
+    val cos = Array(Array.range(0, seeds), Array.range(0, mids), Array.range(0, 2 * half))
+    val fwd = Array(
+      Array.tabulate(seeds)(s => if (s == 0) zero else Array.range(1, mids)),
+      Array.fill(seeds)(evens),
+      Array.tabulate(mids)(m => if (m == 0) zero else odds))
+    val bwd = Array(
+      Array.tabulate(mids)(m => if (m == 0) zero else Array.range(1, seeds)),
+      Array.tabulate(2 * half)(v => if (v % 2 == 0) cos(0) else Array.emptyIntArray),
+      Array.tabulate(2 * half)(v =>
+        if (v == 0) zero else if (v % 2 == 1) Array.range(1, mids) else Array.emptyIntArray))
+    val rig = new RIG(p, cos, fwd, bwd)
+    var matches = 0L
+    val (outcome, sec) = Timing.time(Timing.run(spark, budgetSec = 0.2) {
+      MJoin.enumerate(rig, Array(0, 1, 2)) { _ => matches += 1; true }
+    })
+    assert(matches == 1)
+    assert(outcome.isInstanceOf[Timing.TimedOut], outcome)
+    assert(sec < 1.5, s"stopped after $sec s")
   }
 
   test("empty RIG enumerates nothing") {

@@ -1,9 +1,9 @@
 package repro.core
 
 import repro.{BruteForce, SeededChecks, SparkSpec}
-import repro.graph.GraphGen
+import repro.graph.{Graph, GraphGen}
 import repro.graph.reach.ReachOps
-import repro.pattern.{Direct, Reach, Templates}
+import repro.pattern.{Direct, PEdge, Pattern, Reach, Templates}
 import repro.util.Timing
 
 class RIGSuite extends SparkSpec with SeededChecks {
@@ -58,6 +58,21 @@ class RIGSuite extends SparkSpec with SeededChecks {
         rig.fwdAdj(ei).foreach(l => assert(l.toSeq == l.toSeq.sorted))
       }
     }
+  }
+
+  test("members of a cyclic SCC share one reach row in both directions") {
+    // a-nodes 0->1->2->0 form an SCC, b-nodes 3<->4 another; 5 (a) and 6 (b) are acyclic.
+    val g = Graph.fromEdges(Array(0, 0, 0, 1, 1, 0, 1), Array("a", "b"),
+      Seq((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 6), (5, 0)))
+    val p = Pattern("S", Vector("a", "b"), Vector(PEdge(0, 1, Reach)))
+    val ops = ReachOps(g)
+    val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
+    val fwd = Seq(0, 1, 2, 5).map(v => rig.fwdAdj(0)(rig.posIn(0, v)))
+    val bwd = Seq(3, 4, 6).map(v => rig.bwdAdj(0)(rig.posIn(1, v)))
+    fwd.foreach(row => assert(row.toSeq == Seq(3, 4, 6)))
+    bwd.foreach(row => assert(row.toSeq == Seq(0, 1, 2, 5)))
+    assert((fwd(0) eq fwd(1)) && (fwd(1) eq fwd(2)))
+    assert(bwd(0) eq bwd(1))
   }
 
   test("empty simulation yields an empty RIG (early termination)") {

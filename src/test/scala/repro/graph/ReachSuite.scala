@@ -99,6 +99,26 @@ class ReachOpsSuite extends AnyFunSuite with SeededChecks {
     }
   }
 
+  test("reverse TargetedReach returns exactly the targets that reach a node, sorted") {
+    var selfReach = 0
+    forSeeds(20) { seed =>
+      val g = GraphGen.random(22, 60, 3, seed)
+      val ops = ReachOps(g)
+      val reach = BruteForce.reachMatrix(g)
+      val targets = (0 until g.numNodes).filter(v => (v + seed) % 3 != 0).toArray
+      val tr = ops.targeted(targets, forward = false)
+      (0 until g.numNodes).foreach { v =>
+        val got = tr.from(v)
+        val exp = targets.filter(u => reach(u).get(v))
+        assert(got.toList == exp.toList, s"v=$v seed=$seed")
+        if (got.contains(v)) selfReach += 1
+      }
+      assert(ops.targeted(Array.empty[Int], forward = false).from(0).isEmpty)
+    }
+    // The graphs have cycles: some node is its own reverse target.
+    assert(selfReach > 0)
+  }
+
   test("empty target set yields empty results") {
     val g = GraphGen.random(10, 20, 2, seed = 5)
     val ops = ReachOps(g)
