@@ -2,7 +2,8 @@ package repro.core
 
 import org.roaringbitmap.RoaringBitmap
 import repro.graph.reach.ReachOps
-import repro.pattern.{Direct, Pattern, Reach}
+import repro.pattern.{PEdge, Pattern, Reach}
+import repro.util.Timing
 
 /** Double simulation FB of a pattern by a data graph (paper §4.2–§4.4).
   *
@@ -10,8 +11,9 @@ import repro.pattern.{Direct, Pattern, Reach}
   * labels and every pattern edge is forward- and backward-satisfiable within
   * S, with direct edges checked against graph edges and reachability edges
   * against paths. All pruning here uses the paper's *batch* bitmap method
-  * (§4.5 `bitBat`): one candidate set is intersected with the one-step or
-  * closure neighborhood of another, via [[ReachOps]].
+  * (§4.5 `bitBat`): one [[ReachOps.semijoin]] call keeps the members of one
+  * candidate set that have a match in another across one pattern edge.
+  * Candidate bitmaps are values: no pass mutates its `init` sets.
   *
   * Three algorithms are provided: [[fbSimBas]] (arbitrary edge order),
   * [[fbSimDag]] (topological passes, dag patterns only) and [[fbSim]]
@@ -23,7 +25,6 @@ object Simulation {
 
   final case class Result(fb: Array[RoaringBitmap], passes: Int) {
     def isEmpty: Boolean = fb.exists(_.isEmpty)
-    def cardinalities: Array[Int] = fb.map(_.getCardinality)
   }
 
   /** Initial candidate sets: the match sets ms(q) (label inverted lists). */
@@ -35,28 +36,18 @@ object Simulation {
       }
     }
 
-  /** In-place: keep only tail candidates with a forward match over `e`.
-    * Returns true iff FB(e.from) shrank.
+  /** Keeps the candidates of one end of `e` that have a match at the other:
+    * the tail (`tail`) keeps nodes with an edge or path into FB(e.to), the
+    * head nodes with one from FB(e.from). Stores a new bitmap in `fb` and
+    * mutates none; returns true iff the set shrank.
     */
-  private def pruneTail(ops: ReachOps, fb: Array[RoaringBitmap], e: repro.pattern.PEdge): Boolean = {
-    val allowed = e.kind match {
-      case Direct => ops.predsOf(fb(e.to))
-      case Reach => ops.ancestorsOf(fb(e.to))
-    }
-    val before = fb(e.from).getCardinality
-    fb(e.from).and(allowed)
-    fb(e.from).getCardinality != before
-  }
-
-  /** In-place: keep only head candidates with a backward match over `e`. */
-  private def pruneHead(ops: ReachOps, fb: Array[RoaringBitmap], e: repro.pattern.PEdge): Boolean = {
-    val allowed = e.kind match {
-      case Direct => ops.succsOf(fb(e.from))
-      case Reach => ops.descendantsOf(fb(e.from))
-    }
-    val before = fb(e.to).getCardinality
-    fb(e.to).and(allowed)
-    fb(e.to).getCardinality != before
+  private def prune(ops: ReachOps, fb: Array[RoaringBitmap], e: PEdge, tail: Boolean): Boolean = {
+    Timing.checkDeadline()
+    val (keep, other) = if (tail) (e.from, e.to) else (e.to, e.from)
+    val kept = ops.semijoin(fb(keep), fb(other), path = e.kind == Reach, forward = tail)
+    val shrank = kept.getCardinality != fb(keep).getCardinality
+    fb(keep) = kept
+    shrank
   }
 
   /** Algorithm 1 (FBSimBas): arbitrary edge order, forward sweep then
@@ -64,13 +55,13 @@ object Simulation {
     */
   def fbSimBas(ops: ReachOps, p: Pattern, init: Array[RoaringBitmap],
                maxPasses: Int = Int.MaxValue): Result = {
-    val fb = init.map(_.clone())
+    val fb = init.clone()
     var passes = 0
     var changed = true
     while (changed && passes < maxPasses && !fb.exists(_.isEmpty)) {
       changed = false
-      p.edges.foreach(e => changed |= pruneTail(ops, fb, e))
-      p.edges.foreach(e => changed |= pruneHead(ops, fb, e))
+      p.edges.foreach(e => changed |= prune(ops, fb, e, tail = true))
+      p.edges.foreach(e => changed |= prune(ops, fb, e, tail = false))
       passes += 1
     }
     Result(normalizeEmpty(fb), passes)
@@ -87,7 +78,7 @@ object Simulation {
                maxPasses: Int = Int.MaxValue): Result = {
     val topo = p.topologicalOrder.getOrElse(
       throw new IllegalArgumentException(s"${p.name} is not a dag"))
-    val fb = init.map(_.clone())
+    val fb = init.clone()
     var passes = 0
     var changed = true
     val dirtyPrev = Array.fill(p.numNodes)(true)
@@ -97,13 +88,13 @@ object Simulation {
       topo.reverse.foreach { q =>
         p.outEdges(q).foreach { e =>
           if (dirtyPrev(e.from) || dirtyPrev(e.to) || dirtyNow(e.to))
-            if (pruneTail(ops, fb, e)) { changed = true; dirtyNow(e.from) = true }
+            if (prune(ops, fb, e, tail = true)) { changed = true; dirtyNow(e.from) = true }
         }
       }
       topo.foreach { q =>
         p.inEdges(q).foreach { e =>
           if (dirtyPrev(e.from) || dirtyPrev(e.to) || dirtyNow(e.from) || dirtyNow(e.to))
-            if (pruneHead(ops, fb, e)) { changed = true; dirtyNow(e.to) = true }
+            if (prune(ops, fb, e, tail = false)) { changed = true; dirtyNow(e.to) = true }
         }
       }
       System.arraycopy(dirtyNow, 0, dirtyPrev, 0, p.numNodes)
@@ -119,7 +110,7 @@ object Simulation {
             maxPasses: Int = Int.MaxValue): Result = {
     if (p.isDag) return fbSimDag(ops, p, init, maxPasses)
     val (dagPart, backEdges) = p.dagDecomposition
-    var fb = init.map(_.clone())
+    var fb = init.clone()
     var passes = 0
     var changed = true
     while (changed && passes < maxPasses && !fb.exists(_.isEmpty)) {
@@ -128,8 +119,8 @@ object Simulation {
       if (!sameCards(fb, dagRes.fb)) changed = true
       fb = dagRes.fb
       backEdges.foreach { e =>
-        changed |= pruneTail(ops, fb, e)
-        changed |= pruneHead(ops, fb, e)
+        changed |= prune(ops, fb, e, tail = true)
+        changed |= prune(ops, fb, e, tail = false)
       }
       passes += 1
     }

@@ -1,97 +1,89 @@
 package repro.graph.reach
 
-import org.roaringbitmap.RoaringBitmap
+import org.roaringbitmap.{RoaringBitmap, RoaringBitmapWriter}
 import repro.graph.{Condensation, Graph}
 
-/** Batch reachability/adjacency set operations over a data graph.
+/** Reachability and adjacency primitives over a data graph, driver-side only
+  * (nothing ships them to executors). There are two:
   *
-  * These are the primitives behind the paper's *batch checking of direct
-  * connectivity constraints* (§4.5, the `bitBat` method) and the edge-to-path
-  * conditions of double simulation: one call prunes a whole candidate set via
-  * bitmap operations instead of per-node binary searches.
+  *  - [[semijoin]], the set semijoin `keep ⋉ other` across one pattern edge:
+  *    the paper's *batch checking of direct connectivity constraints* (§4.5,
+  *    the `bitBat` method) and the edge-to-path conditions of double
+  *    simulation. One call prunes a whole candidate set.
+  *  - [[TargetedReach]], the per-node rows of reachable targets that RIG
+  *    expansion reads ([[repro.core.RIG.edgeMatches]]).
   *
   * Reachability semantics follow Def. 2.2: `u ≺ v` iff there is a path with at
   * least one edge from u to v (so `u ≺ u` only through a cycle). All path
   * reasoning happens on the SCC condensation whose component ids are
   * topologically ordered (see [[repro.graph.Condensation]]). Pairwise
   * `u ≺ v` checks are not here: they go through the BFL index
-  * ([[BFL.reaches]]). Driver-side only: nothing ships it to executors.
+  * ([[BFL.reaches]]).
   */
 final class ReachOps(val g: Graph, val cond: Condensation) {
 
-  /** Nodes with an edge *into* some node of `s` (one step back). */
-  def predsOf(s: RoaringBitmap): RoaringBitmap = {
-    val out = new RoaringBitmap()
-    val it = s.getIntIterator
-    while (it.hasNext) {
-      val v = it.next()
-      var i = g.bwdOff(v)
-      while (i < g.bwdOff(v + 1)) { out.add(g.bwdAdj(i)); i += 1 }
+  /** The members of `keep` with an edge (`!path`) or a >=1-edge path (`path`)
+    * to some node of `other` (`forward`), or from one (`!forward`), as a new
+    * bitmap. A direct edge streams each member's CSR row through `other` and
+    * stops at the first hit. A path marks the strict closure of `other` once
+    * per condensation component and keeps the members of marked components.
+    */
+  def semijoin(keep: RoaringBitmap, other: RoaringBitmap, path: Boolean,
+               forward: Boolean): RoaringBitmap = {
+    val out = RoaringBitmapWriter.writer().get()
+    val it = keep.getIntIterator
+    if (!path) {
+      val (off, adj) = if (forward) (g.fwdOff, g.fwdAdj) else (g.bwdOff, g.bwdAdj)
+      while (it.hasNext) {
+        val u = it.next()
+        var i = off(u)
+        while (i < off(u + 1) && !other.contains(adj(i))) i += 1
+        if (i < off(u + 1)) out.add(u)
+      }
+    } else {
+      val reached = closureOf(other, forward = !forward)
+      while (it.hasNext) {
+        val u = it.next()
+        if (reached(cond.comp(u))) out.add(u)
+      }
     }
-    out
+    out.get()
   }
 
-  /** Nodes with an edge *from* some node of `s` (one step forward). */
-  def succsOf(s: RoaringBitmap): RoaringBitmap = {
-    val out = new RoaringBitmap()
-    val it = s.getIntIterator
-    while (it.hasNext) {
-      val v = it.next()
-      var i = g.fwdOff(v)
-      while (i < g.fwdOff(v + 1)) { out.add(g.fwdAdj(i)); i += 1 }
-    }
-    out
-  }
-
-  /** All u such that u ≺ v for some v in `s` (multi-source, component level). */
-  def ancestorsOf(s: RoaringBitmap): RoaringBitmap =
-    closureOf(s, forward = false)
-
-  /** All v such that u ≺ v for some u in `s`. */
-  def descendantsOf(s: RoaringBitmap): RoaringBitmap =
-    closureOf(s, forward = true)
-
-  private def closureOf(s: RoaringBitmap, forward: Boolean): RoaringBitmap = {
+  /** Marks the components of the strict closure of `s`: those reached from
+    * (`forward`) or reaching (`!forward`) a component of `s` by >=1 DAG edge,
+    * and the cyclic components that hold a node of `s` (in-SCC paths have
+    * >=1 edge).
+    */
+  private def closureOf(s: RoaringBitmap, forward: Boolean): Array[Boolean] = {
     val c = cond
     val inSet = new Array[Boolean](c.numComps)   // comps containing a node of s
-    val visited = new Array[Boolean](c.numComps) // comps in the strict closure
-    val it = s.getIntIterator
-    var stackTop = 0
+    val reached = new Array[Boolean](c.numComps) // comps in the strict closure
     // Capacity: every comp can be pushed once as a seed and once when first
-    // visited by the BFS, so 2 * numComps bounds the stack.
+    // reached by the BFS, so 2 * numComps bounds the stack.
     val stack = new Array[Int](2 * c.numComps)
+    var stackTop = 0
+    val it = s.getIntIterator
     while (it.hasNext) {
       val comp = c.comp(it.next())
-      if (!inSet(comp)) { inSet(comp) = true; stack(stackTop) = comp; stackTop += 1 }
-    }
-    // BFS over the condensation DAG starting from the comps of s; a comp enters
-    // the result only when reached via >=1 DAG edge, or when it is cyclic and
-    // itself contains a node of s (in-SCC paths have >=1 edge).
-    val out = new RoaringBitmap()
-    def addMembers(comp: Int): Unit = {
-      var i = c.memberOff(comp)
-      while (i < c.memberOff(comp + 1)) { out.add(c.memberAdj(i)); i += 1 }
-    }
-    var i = 0
-    val seeds = stackTop
-    while (i < seeds) {
-      val comp = stack(i)
-      if (c.isCyclic(comp)) addMembers(comp)
-      i += 1
+      if (!inSet(comp)) {
+        inSet(comp) = true
+        if (c.isCyclic(comp)) reached(comp) = true
+        stack(stackTop) = comp; stackTop += 1
+      }
     }
     while (stackTop > 0) {
       stackTop -= 1
       val comp = stack(stackTop)
       val next = if (forward) c.dagChildren(comp) else c.dagParents(comp)
       next.foreach { nc =>
-        if (!visited(nc)) {
-          visited(nc) = true
-          addMembers(nc)
+        if (!reached(nc)) {
+          reached(nc) = true
           stack(stackTop) = nc; stackTop += 1
         }
       }
     }
-    out
+    reached
   }
 
   /** For a fixed target node set, answers "which targets does u reach?"

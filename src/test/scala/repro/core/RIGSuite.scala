@@ -113,6 +113,17 @@ class RIGSuite extends SparkSpec with SeededChecks {
     assert(outcome.isInstanceOf[Timing.TimedOut], outcome)
   }
 
+  test("simulation honours the query deadline") {
+    val g = GraphGen.random(400, 1600, 3, seed = 5)
+    val ops = ReachOps(g)
+    val p = Templates.hQuery(0, g)
+    // An expired budget: only a deadline check inside the passes can stop them.
+    val outcome = Timing.run(spark, budgetSec = -1.0) {
+      Simulation.fbSim(ops, p, Simulation.matchSets(ops, p)).passes.toLong
+    }
+    assert(outcome.isInstanceOf[Timing.TimedOut], outcome)
+  }
+
   test("RIG size accounting") {
     val g = GraphGen.random(30, 80, 3, seed = 13)
     val ops = ReachOps(g)

@@ -109,6 +109,27 @@ class SimulationSuite extends AnyFunSuite with SeededChecks {
     assert(res.fb.forall(_.isEmpty))
   }
 
+  test("prefilter and simulation leave their init sets and the inverted lists unchanged") {
+    forSeeds(20) { seed =>
+      val g = GraphGen.random(25, 70, 3, seed)
+      val ops = ReachOps(g)
+      val p = Templates.randomPattern(g, n = 4, extraEdges = 1, reachProb = 0.5, seed, "V")
+      val inverted = g.invertedBitmaps.map(BruteForce.bitmapToSet).toSeq
+      val init = Simulation.matchSets(ops, p)
+      val before = sets(init)
+      val pre = Simulation.prefilter(ops, p)
+      val preBefore = sets(pre)
+      Simulation.fbSim(ops, p, init)
+      Simulation.fbSimBas(ops, p, init)
+      if (p.isDag) Simulation.fbSimDag(ops, p, init)
+      Simulation.fbSim(ops, p, pre)
+      Simulation.fbSimBas(ops, p, pre)
+      assert(sets(init) == before, s"seed=$seed")
+      assert(sets(pre) == preBefore, s"seed=$seed")
+      assert(g.invertedBitmaps.map(BruteForce.bitmapToSet).toSeq == inverted, s"seed=$seed")
+    }
+  }
+
   test("paper Fig. 2 worked example: FB(A), FB(B), FB(C)") {
     // Data graph G of Fig. 2(b): a0..a2, b0..b3, c0..c2 with labels a, b, c.
     // Node ids: a0=0 a1=1 a2=2 b0=3 b1=4 b2=5 b3=6 c0=7 c1=8 c2=9.

@@ -59,17 +59,19 @@ class CondensationSuite extends AnyFunSuite with SeededChecks {
 
 class ReachOpsSuite extends AnyFunSuite with SeededChecks {
 
-  test("predsOf / succsOf are exact one-step neighborhoods") {
+  private def all(g: Graph) = BruteForce.toBitmap(0 until g.numNodes)
+
+  test("semijoin across a direct edge keeps exact one-step neighborhoods") {
     val g = GraphGen.random(30, 90, 3, seed = 21)
     val ops = ReachOps(g)
     val s = BruteForce.toBitmap(Seq(1, 5, 7))
     val expPred = (0 until g.numNodes).filter(u => Seq(1, 5, 7).exists(v => g.hasEdge(u, v)))
     val expSucc = (0 until g.numNodes).filter(v => Seq(1, 5, 7).exists(u => g.hasEdge(u, v)))
-    assert(BruteForce.bitmapToSet(ops.predsOf(s)) == expPred.toSet)
-    assert(BruteForce.bitmapToSet(ops.succsOf(s)) == expSucc.toSet)
+    assert(BruteForce.bitmapToSet(ops.semijoin(all(g), s, path = false, forward = true)) == expPred.toSet)
+    assert(BruteForce.bitmapToSet(ops.semijoin(all(g), s, path = false, forward = false)) == expSucc.toSet)
   }
 
-  test("ancestorsOf / descendantsOf match the BFS closure") {
+  test("semijoin across a path keeps the BFS closure") {
     forSeeds(20) { seed =>
       val g = GraphGen.random(24, 70, 3, seed)
       val ops = ReachOps(g)
@@ -78,9 +80,42 @@ class ReachOpsSuite extends AnyFunSuite with SeededChecks {
       val s = BruteForce.toBitmap(set)
       val expAnc = (0 until g.numNodes).filter(u => set.exists(v => reach(u).get(v))).toSet
       val expDesc = (0 until g.numNodes).filter(v => set.exists(u => reach(u).get(v))).toSet
-      assert(BruteForce.bitmapToSet(ops.ancestorsOf(s)) == expAnc, s"anc seed=$seed")
-      assert(BruteForce.bitmapToSet(ops.descendantsOf(s)) == expDesc, s"desc seed=$seed")
+      assert(BruteForce.bitmapToSet(ops.semijoin(all(g), s, path = true, forward = true)) == expAnc,
+        s"anc seed=$seed")
+      assert(BruteForce.bitmapToSet(ops.semijoin(all(g), s, path = true, forward = false)) == expDesc,
+        s"desc seed=$seed")
     }
+  }
+
+  test("semijoin equals the definition for random keep and other sets, all four cases") {
+    var selfReach = 0
+    var empties = 0
+    forSeeds(30) { seed =>
+      val g = GraphGen.random(24, 60, 3, seed)
+      val ops = ReachOps(g)
+      val reach = BruteForce.reachMatrix(g)
+      val rnd = new scala.util.Random(seed)
+      // Densities 0 and 1 give empty and full sets; the rest overlap at random.
+      def randomSet(): Seq[Int] = {
+        val density = Seq(0.0, 0.1, 0.3, 0.6, 1.0)(rnd.nextInt(5))
+        (0 until g.numNodes).filter(_ => rnd.nextDouble() < density)
+      }
+      (0 until 8).foreach { round =>
+        val keep = randomSet(); val other = randomSet()
+        if (keep.isEmpty || other.isEmpty) empties += 1
+        for (path <- Seq(false, true); forward <- Seq(true, false)) {
+          def matches(u: Int, v: Int): Boolean =
+            if (path) reach(u).get(v) else g.hasEdge(u, v)
+          val exp = keep.filter(k => other.exists(o => if (forward) matches(k, o) else matches(o, k)))
+          val got = ops.semijoin(BruteForce.toBitmap(keep), BruteForce.toBitmap(other), path, forward)
+          assert(got.toArray.toSeq == exp, s"path=$path forward=$forward round=$round")
+          if (path) selfReach += exp.count(k => other.contains(k) && reach(k).get(k))
+        }
+      }
+    }
+    // The graphs have cycles: some kept member of `other` reaches itself.
+    assert(selfReach > 0)
+    assert(empties > 0)
   }
 
   test("TargetedReach returns exactly the reachable targets, sorted") {
@@ -123,7 +158,7 @@ class ReachOpsSuite extends AnyFunSuite with SeededChecks {
     val g = GraphGen.random(10, 20, 2, seed = 5)
     val ops = ReachOps(g)
     assert(ops.targeted(Array.empty[Int]).from(0).isEmpty)
-    assert(ops.ancestorsOf(new org.roaringbitmap.RoaringBitmap()).isEmpty)
+    assert(ops.semijoin(all(g), new org.roaringbitmap.RoaringBitmap(), path = true, forward = true).isEmpty)
   }
 }
 
