@@ -28,9 +28,7 @@ object EHLike {
     // Precompute: full match-set "tries" — no filtering, the whole ms(q)/ms(e).
     val rig = RIG.expand(ops, p, Simulation.matchSets(ops, p))
     val precomputeSec = (System.nanoTime() - start) / 1e9
-    val probe = () =>
-      if (rig.isEmpty) 0L
-      else MJoin.enumerate(rig, SearchOrder.jo(rig), limit)(_ => true)
+    val probe = () => MJoin.enumerate(rig, SearchOrder.jo(rig), limit)(_ => true)
     Result(precomputeSec, probe)
   }
 }

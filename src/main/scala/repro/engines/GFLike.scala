@@ -81,8 +81,7 @@ object GFLike {
     require(p.edges.forall(_.kind == repro.pattern.Direct),
       "GFLike evaluates edge-to-edge queries (pass a TC graph for D-queries)")
     val rig = RIG.expand(ops, p, Simulation.matchSets(ops, p))
-    if (rig.isEmpty) 0L
-    else MJoin.enumerate(rig, catalogOrder(p, catalog), limit)(_ => true)
+    MJoin.enumerate(rig, catalogOrder(p, catalog), limit)(_ => true)
   }
 
   /** Greedy order: start at the edge with the fewest catalog matches, extend

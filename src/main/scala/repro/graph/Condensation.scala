@@ -24,9 +24,6 @@ final class Condensation(
     /** condensation DAG, backward CSR. */
     val dagBwdOff: Array[Int],
     val dagBwdAdj: Array[Int],
-    /** component -> sorted member node ids (CSR). */
-    val memberOff: Array[Int],
-    val memberAdj: Array[Int],
 ) {
 
   /** True iff the component contains a directed cycle (size >= 2; the input
@@ -35,7 +32,6 @@ final class Condensation(
   def isCyclic(c: Int): Boolean = compSize(c) >= 2
 
   // CSR rows as views over the backing arrays (do not mutate).
-  def members(c: Int): IndexedSeq[Int] = new ArraySlice(memberAdj, memberOff(c), memberOff(c + 1))
   def dagChildren(c: Int): IndexedSeq[Int] = new ArraySlice(dagAdj, dagOff(c), dagOff(c + 1))
   def dagParents(c: Int): IndexedSeq[Int] = new ArraySlice(dagBwdAdj, dagBwdOff(c), dagBwdOff(c + 1))
 }
@@ -142,18 +138,6 @@ object Condensation {
       i += 1
     }
 
-    // component -> member CSR
-    val memberOff = new Array[Int](compCount + 1)
-    i = 0
-    while (i < n) { memberOff(comp(i) + 1) += 1; i += 1 }
-    i = 0
-    while (i < compCount) { memberOff(i + 1) += memberOff(i); i += 1 }
-    val memberAdj = new Array[Int](n)
-    val mp = memberOff.clone()
-    i = 0
-    while (i < n) { memberAdj(mp(comp(i))) = i; mp(comp(i)) += 1; i += 1 }
-
-    new Condensation(comp, compCount, compSize, dagOff, dagAdj, dagBwdCnt, dagBwdAdj,
-      memberOff, memberAdj)
+    new Condensation(comp, compCount, compSize, dagOff, dagAdj, dagBwdCnt, dagBwdAdj)
   }
 }

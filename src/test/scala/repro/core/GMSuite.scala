@@ -53,6 +53,16 @@ class GMSuite extends SparkSpec with SeededChecks {
     assert(count == MJoin.enumerate(rig, order, config.limit)(_ => true))
   }
 
+  test("single-node pattern: count and answer rows equal the label's inverted list") {
+    val (g, ops) = setup(4)
+    val p = repro.pattern.Pattern("S", Vector("l1"), Vector.empty)
+    val expected = g.invertedListByName("l1").toSeq
+    assert(expected.nonEmpty)
+    assert(GM.countMatches(spark, ops, p)._1 == expected.length)
+    val rows = GM.answer(spark, ops, p)._1.collect().map(_.getLong(0).toInt)
+    assert(rows.sorted.toSeq == expected)
+  }
+
   test("GM answer DataFrame equals the DuckDB oracle on template queries") {
     forSeeds(6) { seed =>
       val (g, ops) = setup(seed, n = 25, e = 60)

@@ -36,23 +36,36 @@ class MJoinSuite extends SparkSpec with SeededChecks {
   }
 
   test("limit caps the number of emitted tuples") {
-    val (g, ops) = setup(4, n = 40, e = 120)
-    val p = Templates.hQuery(0, g)
-    val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
-    val total = MJoin.enumerate(rig, SearchOrder.jo(rig))(_ => true)
-    if (total > 2) {
-      val limited = MJoin.enumerate(rig, SearchOrder.jo(rig), limit = 2)(_ => true)
-      assert(limited == 2)
+    var largest = 0
+    forSeeds(12) { seed =>
+      val (g, ops) = setup(seed)
+      val p = Templates.randomPattern(g, n = 3, extraEdges = 1, reachProb = 0.5, seed + 300, "L")
+      val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
+      val order = SearchOrder.jo(rig)
+      val answer = BruteForce.answer(g, p)
+      largest = largest.max(answer.size)
+      Seq(1L, 3L, 7L, Long.MaxValue).foreach { limit =>
+        val expected = limit.min(answer.size.toLong)
+        val got = scala.collection.mutable.Set.empty[Vector[Int]]
+        val n = MJoin.enumerate(rig, order, limit) { t => got += t.toVector; true }
+        assert(n == expected && got.size == expected && got.subsetOf(answer), s"limit=$limit")
+        val df = MJoin.answerDF(spark, rig, order, limit)
+        assert(df.count() == expected, s"answerDF limit=$limit")
+        val rows = df.collect().map(r => (0 until p.numNodes).map(i => r.getLong(i).toInt).toVector)
+        assert(rows.toSet.subsetOf(answer), s"answerDF limit=$limit")
+      }
     }
+    assert(largest > 7, "no seed has more answers than the largest limit")
   }
 
   test("emit returning false stops enumeration") {
     val (g, ops) = setup(4, n = 40, e = 120)
     val p = Templates.hQuery(0, g)
     val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
+    assert(BruteForce.answer(g, p).size > 3)
     var n = 0
     MJoin.enumerate(rig, SearchOrder.jo(rig)) { _ => n += 1; n < 3 }
-    assert(n <= 3)
+    assert(n == 3)
   }
 
   test("answerDF columns are q0..qn-1 and rows match brute force") {
