@@ -12,8 +12,10 @@ import repro.util.Timing
   * S, with direct edges checked against graph edges and reachability edges
   * against paths. All pruning here uses the paper's *batch* bitmap method
   * (§4.5 `bitBat`): one [[ReachOps.semijoin]] call keeps the members of one
-  * candidate set that have a match in another across one pattern edge.
-  * Candidate bitmaps are values: no pass mutates its `init` sets.
+  * candidate set that have a match in another across one pattern edge, after
+  * an AND with the query-independent label memo ([[ReachOps.labelSemijoin]])
+  * has dropped those with no labelled partner at all. Candidate bitmaps are
+  * values: no pass mutates its `init` sets or the memo.
   *
   * Three algorithms are provided: [[fbSimBas]] (arbitrary edge order),
   * [[fbSimDag]] (topological passes, dag patterns only) and [[fbSim]]
@@ -38,13 +40,25 @@ object Simulation {
 
   /** Keeps the candidates of one end of `e` that have a match at the other:
     * the tail (`tail`) keeps nodes with an edge or path into FB(e.to), the
-    * head nodes with one from FB(e.from). Stores a new bitmap in `fb` and
-    * mutates none; returns true iff the set shrank.
+    * head nodes with one from FB(e.from). It first ANDs FB(keep) with the
+    * other end's label memo ([[ReachOps.labelSemijoin]]); that is the answer
+    * when FB(other) is still the whole inverted list, and otherwise only the
+    * survivors stream their rows through [[ReachOps.semijoin]]. Needs
+    * FB(other) ⊆ ms(other). Stores a new bitmap in `fb` and mutates none;
+    * returns true iff the set shrank.
     */
-  private def prune(ops: ReachOps, fb: Array[RoaringBitmap], e: PEdge, tail: Boolean): Boolean = {
+  private def prune(ops: ReachOps, p: Pattern, fb: Array[RoaringBitmap], e: PEdge,
+                    tail: Boolean): Boolean = {
     Timing.checkDeadline()
     val (keep, other) = if (tail) (e.from, e.to) else (e.to, e.from)
-    val kept = ops.semijoin(fb(keep), fb(other), path = e.kind == Reach, forward = tail)
+    val path = e.kind == Reach
+    val kept = ops.g.labelId(p.labels(other)) match {
+      case None => new RoaringBitmap() // ms(other), and so FB(other), is empty
+      case Some(l) =>
+        val hinted = RoaringBitmap.and(fb(keep), ops.labelSemijoin(l, path, forward = tail))
+        if (fb(other).getCardinality == ops.g.invertedList(l).length) hinted
+        else ops.semijoin(hinted, fb(other), path, forward = tail)
+    }
     val shrank = kept.getCardinality != fb(keep).getCardinality
     fb(keep) = kept
     shrank
@@ -52,6 +66,10 @@ object Simulation {
 
   /** Algorithm 1 (FBSimBas): arbitrary edge order, forward sweep then
     * backward sweep, until stable (or `maxPasses`).
+    *
+    * Requires `init(q) ⊆ ms(q)` for every q (as from [[matchSets]] or
+    * [[prefilter]]): pruning trusts the label memo when a set is still its
+    * whole inverted list.
     */
   def fbSimBas(ops: ReachOps, p: Pattern, init: Array[RoaringBitmap],
                maxPasses: Int = Int.MaxValue): Result = {
@@ -60,8 +78,8 @@ object Simulation {
     var changed = true
     while (changed && passes < maxPasses && !fb.exists(_.isEmpty)) {
       changed = false
-      p.edges.foreach(e => changed |= prune(ops, fb, e, tail = true))
-      p.edges.foreach(e => changed |= prune(ops, fb, e, tail = false))
+      p.edges.foreach(e => changed |= prune(ops, p, fb, e, tail = true))
+      p.edges.foreach(e => changed |= prune(ops, p, fb, e, tail = false))
       passes += 1
     }
     Result(normalizeEmpty(fb), passes)
@@ -73,6 +91,8 @@ object Simulation {
     * The per-node dirty flags implement the paper's first convergence tuning:
     * an edge is re-checked in a pass only if one of its endpoint sets shrank
     * in the previous pass.
+    *
+    * Requires `init(q) ⊆ ms(q)` for every q, as [[fbSimBas]] does.
     */
   def fbSimDag(ops: ReachOps, p: Pattern, init: Array[RoaringBitmap],
                maxPasses: Int = Int.MaxValue): Result = {
@@ -88,13 +108,13 @@ object Simulation {
       topo.reverse.foreach { q =>
         p.outEdges(q).foreach { e =>
           if (dirtyPrev(e.from) || dirtyPrev(e.to) || dirtyNow(e.to))
-            if (prune(ops, fb, e, tail = true)) { changed = true; dirtyNow(e.from) = true }
+            if (prune(ops, p, fb, e, tail = true)) { changed = true; dirtyNow(e.from) = true }
         }
       }
       topo.foreach { q =>
         p.inEdges(q).foreach { e =>
           if (dirtyPrev(e.from) || dirtyPrev(e.to) || dirtyNow(e.from) || dirtyNow(e.to))
-            if (prune(ops, fb, e, tail = false)) { changed = true; dirtyNow(e.to) = true }
+            if (prune(ops, p, fb, e, tail = false)) { changed = true; dirtyNow(e.to) = true }
         }
       }
       System.arraycopy(dirtyNow, 0, dirtyPrev, 0, p.numNodes)
@@ -105,6 +125,8 @@ object Simulation {
 
   /** Algorithm 3 (FBSim, "dag + Δ"): run dag passes on the acyclic core and
     * basic passes on the back-edge set Δ, iterating to a joint fixpoint.
+    *
+    * Requires `init(q) ⊆ ms(q)` for every q, as [[fbSimBas]] does.
     */
   def fbSim(ops: ReachOps, p: Pattern, init: Array[RoaringBitmap],
             maxPasses: Int = Int.MaxValue): Result = {
@@ -119,8 +141,8 @@ object Simulation {
       if (!sameCards(fb, dagRes.fb)) changed = true
       fb = dagRes.fb
       backEdges.foreach { e =>
-        changed |= prune(ops, fb, e, tail = true)
-        changed |= prune(ops, fb, e, tail = false)
+        changed |= prune(ops, p, fb, e, tail = true)
+        changed |= prune(ops, p, fb, e, tail = false)
       }
       passes += 1
     }

@@ -1,15 +1,22 @@
 package repro.graph.reach
 
+import java.util.concurrent.atomic.AtomicReferenceArray
+
 import org.roaringbitmap.{RoaringBitmap, RoaringBitmapWriter}
 import repro.graph.{Condensation, Graph}
 
 /** Reachability and adjacency primitives over a data graph, driver-side only
-  * (nothing ships them to executors). There are two:
+  * (nothing ships them to executors). There are three:
   *
   *  - [[semijoin]], the set semijoin `keep ⋉ other` across one pattern edge:
   *    the paper's *batch checking of direct connectivity constraints* (§4.5,
   *    the `bitBat` method) and the edge-to-path conditions of double
   *    simulation. One call prunes a whole candidate set.
+  *  - [[labelSemijoin]], a lazy, query-independent memo of `semijoin(V, L_l)`
+  *    for each label inverted list `L_l`: the nodes with an edge or path to
+  *    (or from) some node labelled `l`. Double simulation ANDs it into a
+  *    candidate set before streaming rows, so only nodes already known to
+  *    have a labelled neighbour pay for a row scan.
   *  - [[TargetedReach]], the per-node rows of reachable targets that RIG
   *    expansion reads ([[repro.core.RIG.edgeMatches]]).
   *
@@ -21,6 +28,9 @@ import repro.graph.{Condensation, Graph}
   * ([[BFL.reaches]]).
   */
 final class ReachOps(val g: Graph, val cond: Condensation) {
+
+  // Slot 4 * label + 2 * path + forward of labelSemijoin; null until filled.
+  private val labelMemo = new AtomicReferenceArray[RoaringBitmap](4 * g.numLabels)
 
   /** The members of `keep` with an edge (`!path`) or a >=1-edge path (`path`)
     * to some node of `other` (`forward`), or from one (`!forward`), as a new
@@ -48,6 +58,23 @@ final class ReachOps(val g: Graph, val cond: Condensation) {
       }
     }
     out.get()
+  }
+
+  /** `semijoin(all nodes, g.invertedBitmap(label), path, forward)`, built on
+    * first use (O(|V| + |E|)) and then shared by every query: since each
+    * candidate set of a node labelled `label` lies inside that label's
+    * inverted list, this is a superset of any semijoin against one. The
+    * returned bitmap is shared: do not mutate it. Thread-safe: a slot is
+    * filled outside any lock and published by compare-and-set, so two
+    * threads may both build it, and both then return the first one stored.
+    */
+  def labelSemijoin(label: Int, path: Boolean, forward: Boolean): RoaringBitmap = {
+    val slot = 4 * label + (if (path) 2 else 0) + (if (forward) 1 else 0)
+    val memo = labelMemo.get(slot)
+    if (memo != null) return memo
+    val all = RoaringBitmap.bitmapOfRange(0L, g.numNodes.toLong)
+    labelMemo.compareAndSet(slot, null, semijoin(all, g.invertedBitmap(label), path, forward))
+    labelMemo.get(slot)
   }
 
   /** Marks the components of the strict closure of `s`: those reached from

@@ -115,6 +115,7 @@ class SimulationSuite extends AnyFunSuite with SeededChecks {
       val ops = ReachOps(g)
       val p = Templates.randomPattern(g, n = 4, extraEdges = 1, reachProb = 0.5, seed, "V")
       val inverted = g.invertedBitmaps.map(BruteForce.bitmapToSet).toSeq
+      val memoBefore = memos(ops)
       val init = Simulation.matchSets(ops, p)
       val before = sets(init)
       val pre = Simulation.prefilter(ops, p)
@@ -127,7 +128,68 @@ class SimulationSuite extends AnyFunSuite with SeededChecks {
       assert(sets(init) == before, s"seed=$seed")
       assert(sets(pre) == preBefore, s"seed=$seed")
       assert(g.invertedBitmaps.map(BruteForce.bitmapToSet).toSeq == inverted, s"seed=$seed")
+      assert(memos(ops) == memoBefore, s"seed=$seed")
     }
+  }
+
+  /** Every label memo of `ops` as sets (this fills them all). */
+  private def memos(ops: ReachOps): Seq[Set[Int]] =
+    for (l <- 0 until ops.g.numLabels; path <- Seq(false, true); forward <- Seq(true, false))
+      yield BruteForce.bitmapToSet(ops.labelSemijoin(l, path, forward))
+
+  /** Up to `passes` basic sweeps (every edge forward, then every edge
+    * backward, in `p.edges` order) from the match sets, each prune one plain
+    * `ops.semijoin` with no label memo; all sets cleared if one empties.
+    */
+  private def referenceFB(ops: ReachOps, p: Pattern, passes: Int): Seq[Set[Int]] = {
+    val fb = p.labels.map(l => BruteForce.toBitmap(ops.g.invertedListByName(l))).toArray
+    def cards = fb.map(_.getCardinality).toSeq
+    var n = 0
+    var changed = true
+    while (changed && n < passes && !fb.exists(_.isEmpty)) {
+      val before = cards
+      p.edges.foreach(e => fb(e.from) = ops.semijoin(fb(e.from), fb(e.to), e.kind == Reach, forward = true))
+      p.edges.foreach(e => fb(e.to) = ops.semijoin(fb(e.to), fb(e.from), e.kind == Reach, forward = false))
+      changed = cards != before
+      n += 1
+    }
+    if (fb.exists(_.isEmpty)) fb.map(_ => Set.empty[Int]).toSeq else sets(fb)
+  }
+
+  test("memo-hinted pruning equals plain semijoin pruning on mixed patterns") {
+    var nonEmpty = 0
+    var refined = 0 // a later pass pruned more: its prunes met sets smaller than ms
+    var cyclic = 0
+    forSeeds(60) { seed =>
+      // One label name that no node carries, besides the absent "no-such-label".
+      val g0 = GraphGen.random(40, 130, 3, seed)
+      val g = new repro.graph.Graph(g0.labels, g0.labelNames :+ "empty", g0.fwdOff, g0.fwdAdj,
+        g0.bwdOff, g0.bwdAdj)
+      val ops = ReachOps(g)
+      val rnd = new scala.util.Random(seed)
+      val random = Templates.randomPattern(g, n = 2 + rnd.nextInt(4), extraEdges = rnd.nextInt(3),
+        reachProb = 0.5, seed, "D")
+      val patterns = Seq(
+        random,
+        random.copy(labels = random.labels.updated(rnd.nextInt(random.numNodes), "no-such-label")),
+        random.copy(labels = random.labels.updated(rnd.nextInt(random.numNodes), "empty")),
+        Pattern("one", Vector(random.labels.head), Vector.empty))
+      patterns.foreach { p =>
+        val onePass = referenceFB(ops, p, 1)
+        val fixpoint = referenceFB(ops, p, Int.MaxValue)
+        val ms = Simulation.matchSets(ops, p)
+        assert(sets(Simulation.prefilter(ops, p)) == onePass, s"prefilter ${p.labels}")
+        assert(sets(Simulation.fbSimBas(ops, p, ms).fb) == fixpoint, s"fbSimBas ${p.labels}")
+        assert(sets(Simulation.fbSim(ops, p, ms).fb) == fixpoint, s"fbSim ${p.labels}")
+        if (p.isDag) assert(sets(Simulation.fbSimDag(ops, p, ms).fb) == fixpoint, s"fbSimDag ${p.labels}")
+        else cyclic += 1
+        if (fixpoint.forall(_.nonEmpty) && p.numEdges > 0) nonEmpty += 1
+        if (fixpoint != onePass) refined += 1
+      }
+    }
+    assert(nonEmpty > 5)
+    assert(refined > 5)
+    assert(cyclic > 0)
   }
 
   test("paper Fig. 2 worked example: FB(A), FB(B), FB(C)") {

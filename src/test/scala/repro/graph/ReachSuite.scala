@@ -154,6 +154,52 @@ class ReachOpsSuite extends AnyFunSuite with SeededChecks {
     assert(selfReach > 0)
   }
 
+  /** `g` with one more label name that no node carries. */
+  private def withEmptyLabel(g: Graph): Graph =
+    new Graph(g.labels, g.labelNames :+ "empty", g.fwdOff, g.fwdAdj, g.bwdOff, g.bwdAdj)
+
+  test("labelSemijoin equals semijoin(all nodes, inverted list), all four cases") {
+    var cyclic = 0
+    forSeeds(24) { seed =>
+      val g = withEmptyLabel(GraphGen.random(30, 80, 3, seed))
+      val ops = ReachOps(g)
+      cyclic += (0 until ops.cond.numComps).count(ops.cond.isCyclic)
+      assert(g.invertedList(g.numLabels - 1).isEmpty)
+      for (l <- 0 until g.numLabels; path <- Seq(false, true); forward <- Seq(true, false)) {
+        val exp = ops.semijoin(all(g), g.invertedBitmap(l), path, forward)
+        assert(ops.labelSemijoin(l, path, forward) == exp, s"l=$l path=$path forward=$forward")
+        if (l == g.numLabels - 1) assert(exp.isEmpty)
+      }
+    }
+    assert(cyclic > 0)
+  }
+
+  test("labelSemijoin returns the same instance on a second call") {
+    val g = GraphGen.random(30, 80, 3, seed = 4)
+    val ops = ReachOps(g)
+    for (l <- 0 until g.numLabels; path <- Seq(false, true); forward <- Seq(true, false))
+      assert(ops.labelSemijoin(l, path, forward) eq ops.labelSemijoin(l, path, forward))
+  }
+
+  test("two threads filling the same labelSemijoin slot get equal bitmaps") {
+    forSeeds(10) { seed =>
+      val g = GraphGen.random(2000, 8000, 3, seed)
+      val ops = ReachOps(g)
+      val path = seed % 2 == 0
+      val forward = seed % 4 < 2
+      val start = new java.util.concurrent.CyclicBarrier(2)
+      val got = new Array[org.roaringbitmap.RoaringBitmap](2)
+      val threads = Array.tabulate(2) { i =>
+        new Thread(() => { start.await(); got(i) = ops.labelSemijoin(1, path, forward) })
+      }
+      threads.foreach(_.start())
+      threads.foreach(_.join())
+      assert(got(0) == got(1))
+      assert(got(0) == ops.semijoin(all(g), g.invertedBitmap(1), path, forward))
+      assert(ops.labelSemijoin(1, path, forward) eq got(0))
+    }
+  }
+
   test("empty target set yields empty results") {
     val g = GraphGen.random(10, 20, 2, seed = 5)
     val ops = ReachOps(g)
