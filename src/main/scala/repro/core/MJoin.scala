@@ -13,6 +13,11 @@ import repro.util.Timing
   * allocates nothing per step, so space is O(n · MaxCos) on the driver and in
   * every [[answerDF]] task alike.
   *
+  * The search hands out the last depth whole: one step binds every earlier
+  * depth and leaves the last depth's candidates in its buffer. Three drivers
+  * share it: [[enumerate]] and [[answerDF]] bind each candidate in turn, and
+  * [[count]] adds the block's length without binding any.
+  *
   * Counting and `emit`-style enumeration run on the driver. Only
   * [[MJoin.answerDF]] distributes: it partitions the search space on the
   * *first* node of the search order, splitting `cos(q1)` across executor tasks
@@ -43,15 +48,18 @@ object MJoin {
 
   /** Backtracking search over the seeds of the first order node; `order` is
     * connected, so every later depth has a bound neighbour. Each [[advance]]
-    * binds [[tuple]] (indexed by query node id) in place to the next
-    * occurrence. A depth starts from its shortest RIG row, used as is when
-    * alone, and intersects the others into its buffer of |cos(order(i))| slots
-    * (each row into `order(i)` lies in cos(order(i))), the first time from the
-    * row and then in place.
+    * binds [[tuple]] (indexed by query node id) in place at depths
+    * `0 until last` and fills the last depth, whose candidates are
+    * `lastCands(0 until lastLen)`; for a single-node pattern depth 0 is the
+    * last. A depth starts from its shortest RIG row, used as is when alone,
+    * and intersects the others into its buffer of |cos(order(i))| slots (each
+    * row into `order(i)` lies in cos(order(i))), the first time from the row
+    * and then in place.
     */
   private final class Search(rig: RIG, order: Array[Int], seeds: Array[Int]) {
     val tuple = new Array[Int](rig.pattern.numNodes)
     private val n = order.length
+    private val last = n - 1
     private val cons = constraints(rig, order)
     private val rows = cons.map(c => new Array[Array[Int]](c.length))
     private val buf = Array.tabulate(n)(i =>
@@ -60,19 +68,30 @@ object MJoin {
     private val len = new Array[Int](n)
     private val pos = new Array[Int](n)
     private var depth = 0
-    private var steps = 0L // binds and backtracks; the deadline is checked per 1024
+    private var steps = 0L // binds, backtracks and the drivers' last-depth binds
+    private var nextCheck = 1024L // the deadline is checked once `steps` reaches it
     cands(0) = seeds; len(0) = seeds.length
 
-    /** Binds the next occurrence into `tuple`; false once the search is exhausted. */
+    def lastCands: Array[Int] = cands(last)
+    def lastLen: Int = len(last)
+
+    /** Charges one search step; a driver calls it per last-depth bind. */
+    def step(): Unit = {
+      steps += 1
+      if (steps >= nextCheck) { Timing.checkDeadline(); nextCheck = steps + 1024 }
+    }
+
+    /** Binds the depths before the last and fills the last depth with at
+      * least one candidate; false once the search is exhausted.
+      */
     def advance(): Boolean = {
       while (depth >= 0) {
-        steps += 1
-        if ((steps & 0x3ff) == 0) Timing.checkDeadline()
-        if (pos(depth) == len(depth)) depth -= 1
+        step()
+        if (depth == last) { depth -= 1; if (len(last) > 0) return true }
+        else if (pos(depth) == len(depth)) depth -= 1
         else {
           tuple(order(depth)) = cands(depth)(pos(depth))
           pos(depth) += 1
-          if (depth == n - 1) return true
           depth += 1
           fill(depth)
         }
@@ -122,18 +141,34 @@ object MJoin {
                (emit: Array[Int] => Boolean): Long = {
     if (rig.isEmpty) return 0L
     val search = new Search(rig, order, rig.cos(order(0)))
+    val t = search.tuple; val q = order.last
     var emitted = 0L
     while (emitted < limit && search.advance()) {
-      emitted += 1
-      if (!emit(search.tuple)) return emitted
+      val cs = search.lastCands; val n = (limit - emitted).min(search.lastLen).toInt
+      var i = 0
+      while (i < n) {
+        search.step()
+        t(q) = cs(i); i += 1; emitted += 1
+        if (!emit(t)) return emitted
+      }
     }
     emitted
   }
 
-  /** Kept for the frozen benchmark only; nothing under `src/` calls it. A no-op-`emit` [[enumerate]]. */
-  def count(spark: SparkSession, rig: RIG, order: Array[Int],
-            limit: Long = Long.MaxValue): Long =
-    enumerate(rig, order, limit)(_ => true)
+  /** Driver-side count of occurrences, at most `limit`: adds each last-depth
+    * block's length and never binds its tuples.
+    */
+  def count(rig: RIG, order: Array[Int], limit: Long = Long.MaxValue): Long = {
+    if (rig.isEmpty) return 0L
+    val search = new Search(rig, order, rig.cos(order(0)))
+    var counted = 0L
+    while (counted < limit && search.advance()) counted += (limit - counted).min(search.lastLen)
+    counted
+  }
+
+  /** Kept for the frozen benchmark only; nothing under `src/` calls it. Forwards to [[count]]. */
+  def count(spark: SparkSession, rig: RIG, order: Array[Int], limit: Long): Long =
+    count(rig, order, limit)
 
   /** Answer DataFrame with one column per query node (`q0`..`qn-1`, LongType),
     * enumerated distributedly and capped at `limit` rows. Each task streams
@@ -152,8 +187,22 @@ object MJoin {
     val rows = sc.parallelize(seeds.toIndexedSeq, parts)
       .mapPartitions { it =>
         val search = new Search(bRig.value, order, it.toArray)
-        Iterator.continually(search).takeWhile(_.advance()).take(cap)
-          .map(s => Row.fromSeq(s.tuple.toIndexedSeq.map(_.toLong)))
+        val t = search.tuple; val q = order.last
+        new Iterator[Row] {
+          private var cs = Array.emptyIntArray
+          private var n = 0
+          private var i = 0
+          private var left = cap
+          def hasNext: Boolean = left > 0 && (i < n || search.advance() && {
+            cs = search.lastCands; n = search.lastLen; i = 0; true
+          })
+          def next(): Row = {
+            if (!hasNext) throw new NoSuchElementException("search exhausted")
+            search.step()
+            t(q) = cs(i); i += 1; left -= 1
+            Row.fromSeq(t.toIndexedSeq.map(_.toLong))
+          }
+        }
       }
     val df = spark.createDataFrame(rows, schema)
     if (limit == Long.MaxValue) df else df.limit(cap)

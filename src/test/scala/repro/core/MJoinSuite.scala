@@ -58,6 +58,49 @@ class MJoinSuite extends SparkSpec with SeededChecks {
     assert(largest > 7, "no seed has more answers than the largest limit")
   }
 
+  test("count equals enumerate's count and min(limit, |answer|) under every order") {
+    var largest = 0
+    val lastConstraints = scala.collection.mutable.Set.empty[Int]
+    forSeeds(12) { seed =>
+      val (g, ops) = setup(seed)
+      val p = Templates.randomPattern(g, n = 3 + (seed % 2).toInt, extraEdges = 1,
+        reachProb = 0.5, seed + 900, "K")
+      val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
+      val answer = BruteForce.answer(g, p)
+      largest = largest.max(answer.size)
+      Seq(SearchOrder.JO, SearchOrder.RI, SearchOrder.BJ).foreach { strategy =>
+        val order = if (rig.isEmpty) Array.range(0, p.numNodes) else SearchOrder.compute(strategy, rig)
+        val last = order.last
+        lastConstraints += p.edges.count(e => e.from == last || e.to == last)
+        Seq(1L, 3L, 7L, Long.MaxValue).foreach { limit =>
+          val got = scala.collection.mutable.Set.empty[Vector[Int]]
+          val n = MJoin.enumerate(rig, order, limit) { t => got += t.toVector; true }
+          val c = MJoin.count(rig, order, limit)
+          assert(c == n && c == limit.min(answer.size.toLong) && got.size == n && got.subsetOf(answer),
+            s"$strategy limit=$limit: count $c, enumerate $n")
+        }
+      }
+    }
+    assert(largest > 7, "no seed has more answers than the largest limit")
+    assert(lastConstraints.contains(1) && lastConstraints.exists(_ >= 2),
+      s"last-depth constraint counts seen: $lastConstraints")
+  }
+
+  test("count on a single-node pattern is |cos(q0)|, capped at limit") {
+    val (g, ops) = setup(4)
+    val single = Pattern("S", Vector("l1"), Vector.empty)
+    val (rig, _) = RIG.build(ops, single, Simulation.matchSets(ops, single))
+    val size = rig.cos(0).length.toLong
+    assert(size > 7)
+    Seq(1L, 3L, 7L, Long.MaxValue).foreach { limit =>
+      val got = scala.collection.mutable.Set.empty[Int]
+      val n = MJoin.enumerate(rig, Array(0), limit) { t => got += t(0); true }
+      val c = MJoin.count(rig, Array(0), limit)
+      assert(c == limit.min(size) && n == c && got.size == n && got.subsetOf(rig.cos(0).toSet),
+        s"limit=$limit: count $c, enumerate $n")
+    }
+  }
+
   test("emit returning false stops enumeration") {
     val (g, ops) = setup(4, n = 40, e = 120)
     val p = Templates.hQuery(0, g)
@@ -96,10 +139,11 @@ class MJoinSuite extends SparkSpec with SeededChecks {
     }
   }
 
-  test("the deadline stops a search that stalls after its first match") {
-    // Hand-built RIG over q0 -> q1, q0 -> q2, q1 -> q2 (order q0, q1, q2).
-    // Seed 0 yields the one match (0, 0, 0); every other seed pairs each of
-    // its q1 candidates with a fruitless intersection of evens and odds.
+  /** Hand-built RIG over q0 -> q1, q0 -> q2, q1 -> q2 (order q0, q1, q2).
+    * Seed 0 yields the one match (0, 0, 0); every other seed pairs each of
+    * its q1 candidates with a fruitless intersection of evens and odds.
+    */
+  private def stallRig: RIG = {
     val (seeds, mids, half) = (800, 1000, 1000)
     val evens = Array.range(0, 2 * half, 2)
     val odds = Array.range(1, 2 * half, 2)
@@ -116,7 +160,11 @@ class MJoinSuite extends SparkSpec with SeededChecks {
       Array.tabulate(2 * half)(v => if (v % 2 == 0) cos(0) else Array.emptyIntArray),
       Array.tabulate(2 * half)(v =>
         if (v == 0) zero else if (v % 2 == 1) Array.range(1, mids) else Array.emptyIntArray))
-    val rig = new RIG(p, cos, fwd, bwd)
+    new RIG(p, cos, fwd, bwd)
+  }
+
+  test("the deadline stops a search that stalls after its first match") {
+    val rig = stallRig
     var matches = 0L
     val (outcome, sec) = Timing.time(Timing.run(spark, budgetSec = 0.2) {
       MJoin.enumerate(rig, Array(0, 1, 2)) { _ => matches += 1; true }
@@ -126,12 +174,44 @@ class MJoinSuite extends SparkSpec with SeededChecks {
     assert(sec < 1.5, s"stopped after $sec s")
   }
 
+  test("the deadline stops a count that stalls after its first match") {
+    val rig = stallRig
+    val (outcome, sec) = Timing.time(Timing.run(spark, budgetSec = 0.2) {
+      MJoin.count(rig, Array(0, 1, 2))
+    })
+    assert(outcome.isInstanceOf[Timing.TimedOut], outcome)
+    assert(sec < 1.5, s"stopped after $sec s")
+  }
+
+  test("the deadline stops an emit that is slow on one long last-depth block") {
+    // q0 -> q1 with one seed whose successor row holds every q1 candidate:
+    // one advance hands out 2^20 candidates, each taking ~1 µs to emit.
+    val size = 1 << 20
+    val p = Pattern("B", Vector("a", "b"), Vector(PEdge(0, 1, Direct)))
+    val zero = Array(0)
+    val rig = new RIG(p, Array(zero, Array.range(0, size)),
+      Array(Array(Array.range(0, size))), Array(Array.fill(size)(zero)))
+    var emitted = 0L
+    val (outcome, sec) = Timing.time(Timing.run(spark, budgetSec = 0.2) {
+      MJoin.enumerate(rig, Array(0, 1)) { _ =>
+        val until = System.nanoTime() + 1000
+        while (System.nanoTime() < until) {}
+        emitted += 1
+        true
+      }
+    })
+    assert(outcome.isInstanceOf[Timing.TimedOut], outcome)
+    assert(sec < 1.5, s"stopped after $sec s")
+    assert(emitted < size)
+  }
+
   test("empty RIG enumerates nothing") {
     val (g, ops) = setup(2)
     val p = repro.pattern.Pattern("E", Vector("l0", "zz"),
       Vector(repro.pattern.PEdge(0, 1, repro.pattern.Direct)))
     val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
-    assert(MJoin.enumerate(rig, Array(0, 1))(_ => true) == 0)
+    assert(MJoin.enumerate(rig, Array(0, 1))(_ => fail("emitted on an empty RIG")) == 0)
+    assert(MJoin.count(rig, Array(0, 1)) == 0)
     assert(MJoin.answerDF(spark, rig, Array(0, 1)).count() == 0)
   }
 }

@@ -61,7 +61,7 @@ class PerTemplateAnswerSuite extends AnyFunSuite {
         val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
         val count =
           if (rig.isEmpty) 0L
-          else MJoin.enumerate(rig, SearchOrder.jo(rig))(_ => true)
+          else MJoin.count(rig, SearchOrder.jo(rig))
         assert(count == BruteForce.answer(g, p).size)
       }
     }

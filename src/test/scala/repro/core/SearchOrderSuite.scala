@@ -77,7 +77,7 @@ class SearchOrderSuite extends AnyFunSuite with SeededChecks {
       val p = Templates.hQuery((seed % 10).toInt, g)
       val (rig, _) = RIG.build(ops, p, Simulation.matchSets(ops, p))
       if (!rig.isEmpty) {
-        def count(o: Array[Int]): Long = MJoin.enumerate(rig, o)(_ => true)
+        def count(o: Array[Int]): Long = MJoin.count(rig, o)
         val cJo = count(SearchOrder.jo(rig))
         val cRi = count(SearchOrder.ri(rig.pattern))
         val cBj = count(SearchOrder.bj(rig))
