@@ -6,8 +6,10 @@ import repro.SparkSpec
 class Table3Bench extends SparkSpec {
 
   test("Table 3: GM solves all large D-queries; JM and TM do not") {
-    val (rows, rendered) = Table3Harness.run(spark)
+    val (cells, rendered) = Table3Harness.run(spark)
     println(rendered)
+    assert(cells.size == 90)
+    val rows = Table3Harness.summarize(cells)
     val gm = rows.filter(_.alg == "GM")
     val jm = rows.filter(_.alg == "JM")
     val tm = rows.filter(_.alg == "TM")

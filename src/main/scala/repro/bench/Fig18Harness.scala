@@ -1,11 +1,11 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.engines.{GFLike, NeoLike}
-import repro.graph.{Graph, GraphDF, GraphGen}
+import repro.engines.GFLike
+import repro.graph.{Condensation, Graph, GraphDF, GraphGen}
 import repro.graph.reach.{BFL, ReachOps, TransitiveClosure}
 import repro.pattern.Templates
-import repro.util.{TableFmt, Timing}
+import repro.util.Timing
 
 /** Fig. 18 (tabular parts, reproduced as a bonus): (a) build times of the BFL
   * index, the transitive closure and the GF catalog on Email fragments; (b)
@@ -13,11 +13,6 @@ import repro.util.{TableFmt, Timing}
   * number of labels.
   */
 object Fig18Harness {
-
-  final case class BuildRow(labels: Int, nodes: Int, bflSec: Double,
-                            tc: Timing.Outcome, cat: Timing.Outcome)
-  final case class QueryRow(query: String, labels: Int,
-                            neo: Timing.Outcome, gf: Timing.Outcome, gm: Timing.Outcome)
 
   /** Paper Fig 18a: (#lbs, #nodes) -> (BFL s, TC s, CAT s-or-OM). */
   val paperBuild: Seq[(Int, Int, String, String, String)] = Seq(
@@ -39,83 +34,61 @@ object Fig18Harness {
     ("DQ16", 15) -> ("542.899", "0.20", "0.07"), ("DQ16", 20) -> ("30.705", "0.36", "0.01"),
   )
 
-  def fragment(nodes: Int, labels: Int): Graph =
-    GraphGen.fragment("em", nodes, labels)
+  val buildSystems = Seq("BFL s", "TC s", "CAT s")
+  val querySystems = Seq("Neo4j", "GF", "GM")
 
-  def runBuild(spark: SparkSession): (Seq[BuildRow], String) = {
+  /** One row per paper (#lbs, #nodes); the BFL build is a `Solved` cell of no rows. */
+  def runBuild(spark: SparkSession): (Seq[Cell], String) = {
     BenchEnv.quiet(spark)
-    val configs = Seq((5, 1000), (10, 1000), (15, 1000), (20, 1000), (20, 2000), (20, 3000))
-    val rows = configs.map { case (l, n) =>
-      val g = fragment(n, l)
-      val cond = repro.graph.Condensation(g)
-      val (_, bflSec) = Timing.time(BFL.build(g, cond))
+    val cells = paperBuild.flatMap { case (l, n, _, _, _) =>
+      val g = GraphGen.fragment("em", n, l)
+      val (_, bflSec) = Timing.time(BFL.build(g, Condensation(g)))
       val edges = GraphDF.edgesDF(spark, g).cache()
-      val nodesDF = GraphDF.nodesDF(spark, g).cache()
-      val tcOutcome = Timing.run(spark, BenchEnv.timeoutSec) {
+      val nodes = GraphDF.nodesDF(spark, g).cache()
+      val tc = Timing.run(spark, BenchEnv.timeoutSec) {
         TransitiveClosure.dataframe(spark, edges).count()
       }
-      val catOutcome = Timing.run(spark, BenchEnv.timeoutSec) {
-        val cat = GFLike.buildCatalog(nodesDF, edges,
-          entryBudget = BenchEnv.budgetRows)
-        cat.pairCounts.size.toLong + cat.tripleCounts.size
+      val cat = Timing.run(spark, BenchEnv.timeoutSec) {
+        val c = GFLike.buildCatalog(nodes, edges, entryBudget = BenchEnv.budgetRows)
+        c.pairCounts.size.toLong + c.tripleCounts.size
       }
-      edges.unpersist(); nodesDF.unpersist()
-      BuildRow(l, n, bflSec, tcOutcome, catOutcome)
+      edges.unpersist(); nodes.unpersist()
+      buildSystems.zip(Seq(Timing.Solved(bflSec, 0L), tc, cat))
+        .map { case (s, o) => Cell(Seq(l.toString, n.toString), s, o) }
     }
-    (rows, renderBuild(rows))
+    val paper = paperBuild.map(p => Seq(p._1.toString, p._2.toString) -> Seq(p._3, p._4, p._5)).toMap
+    (cells, QueryRunners.render(
+      "Fig 18a: build time of BFL vs transitive closure vs GF catalog on em fragments (paper in parens)",
+      Seq("#lbs", "#nodes"), buildSystems, cells, paper))
   }
 
-  def runQueries(spark: SparkSession): (Seq[QueryRow], String) = {
+  /** Each label count builds its graphs, their [[ReachOps]] and the GF
+    * catalog once for all three queries.
+    */
+  def runQueries(spark: SparkSession): (Seq[Cell], String) = {
     BenchEnv.quiet(spark)
-    val ids = Seq(4, 15, 16)
-    val rows = for {
-      l <- Seq(5, 10, 15, 20)
-      (graph, tcGraph) = {
-        val g = fragment(1000, l)
-        val tcPairs = TransitiveClosure.pairs(g).filter { case (u, v) => u != v }
-        (g, Graph.fromEdges(g.labels, g.labelNames, tcPairs.toSeq))
-      }
-      id <- ids
-    } yield {
-      val ops = ReachOps(graph)
-      val d = Templates.dQuery(id, graph)
-      val neoOut = QueryRunners.neo(spark, ops, d)
+    val cells = Seq(5, 10, 15, 20).flatMap { l =>
+      val g = GraphGen.fragment("em", 1000, l)
+      val tcPairs = TransitiveClosure.pairs(g).filter { case (u, v) => u != v }
+      val tcGraph = Graph.fromEdges(g.labels, g.labelNames, tcPairs.toSeq)
+      val ops = ReachOps(g)
       // GF: WCO joins over the pre-materialized transitive closure. As in the
       // paper, TC and catalog construction are excluded from GF query time.
       val tcOps = ReachOps(tcGraph)
       val cat = GFLike.catalogFromGraph(tcGraph)
-      val gfOut = Timing.run(spark, BenchEnv.timeoutSec) {
-        GFLike.countMatches(tcOps, cat, d.toCQuery, BenchEnv.limit)
+      Seq(4, 15, 16).flatMap { id =>
+        val d = Templates.dQuery(id, g)
+        val neo = QueryRunners.neo(spark, ops, d)
+        val gf = Timing.run(spark, BenchEnv.timeoutSec) {
+          GFLike.countMatches(tcOps, cat, d.toCQuery, BenchEnv.limit)
+        }
+        val gm = QueryRunners.gm(spark, ops, d)
+        querySystems.zip(Seq(neo, gf, gm)).map { case (s, o) => Cell(Seq(s"DQ$id", l.toString), s, o) }
       }
-      val gmOut = QueryRunners.gm(spark, ops, d)
-      QueryRow(s"DQ$id", l, neoOut, gfOut, gmOut)
     }
-    (rows, renderQueries(rows))
-  }
-
-  def renderBuild(rows: Seq[BuildRow]): String = {
-    val ix = paperBuild.map(p => (p._1, p._2) -> p).toMap
-    TableFmt.render(
-      "Fig 18a: build time of BFL vs transitive closure vs GF catalog on em fragments (paper in parens)",
-      Seq("#lbs", "#nodes", "BFL s (paper)", "TC s (paper)", "CAT s (paper)"),
-      rows.map { r =>
-        val p = ix((r.labels, r.nodes))
-        Seq(r.labels.toString, r.nodes.toString,
-          s"${TableFmt.fmtSec(r.bflSec)} (${p._3})",
-          s"${r.tc.shortLabel} (${p._4})",
-          s"${r.cat.shortLabel} (${p._5})")
-      })
-  }
-
-  def renderQueries(rows: Seq[QueryRow]): String =
-    TableFmt.render(
+    (cells, QueryRunners.render(
       "Fig 18b: D-queries on 1K-node em graphs — Neo4j / GF / GM (seconds; paper in parens)",
-      Seq("Query", "#lbs", "Neo4j (paper)", "GF (paper)", "GM (paper)"),
-      rows.map { r =>
-        val p = paperQuery((r.query, r.labels))
-        Seq(r.query, r.labels.toString,
-          s"${r.neo.shortLabel} (${p._1})",
-          s"${r.gf.shortLabel} (${p._2})",
-          s"${r.gm.shortLabel} (${p._3})")
-      })
+      Seq("Query", "#lbs"), querySystems, cells,
+      { case Seq(query, l) => paperQuery((query, l.toInt)).productIterator.toSeq }))
+  }
 }

@@ -7,11 +7,16 @@ import repro.engines.NeoLike
 import repro.graph.GraphDF
 import repro.graph.reach.{BFL, ReachOps}
 import repro.pattern.Pattern
-import repro.util.Timing
+import repro.util.{TableFmt, Timing}
 import repro.util.Timing.Outcome
 
-/** One [[Timing.Outcome]]-producing runner per algorithm under test — the
-  * bench tables are built from these.
+/** One measured outcome of a bench table: `row` holds the table's key
+  * columns (e.g. `Seq("em", "HQ4")`), `system` the column it is printed in.
+  */
+final case class Cell(row: Seq[String], system: String, outcome: Outcome)
+
+/** One [[Timing.Outcome]]-producing runner per algorithm under test, and the
+  * one renderer that prints their [[Cell]]s beside the paper's values.
   */
 object QueryRunners {
 
@@ -22,10 +27,6 @@ object QueryRunners {
     Timing.run(spark, timeoutSec) {
       GM.countMatches(spark, ops, p, GM.Config(order = order, limit = limit))._1
     }
-
-  def gmConfigured(spark: SparkSession, ops: ReachOps, p: Pattern, cfg: GM.Config,
-                   timeoutSec: Double = BenchEnv.timeoutSec): Outcome =
-    Timing.run(spark, timeoutSec)(GM.countMatches(spark, ops, p, cfg)._1)
 
   def jm(spark: SparkSession, ops: ReachOps, p: Pattern,
          timeoutSec: Double = BenchEnv.timeoutSec,
@@ -47,9 +48,16 @@ object QueryRunners {
     finally { nodes.unpersist(); edges.unpersist() }
   }
 
-  /** Sum of outcome walltimes, counting failures at their elapsed time. */
-  def totalSec(outs: Seq[Outcome]): Double = outs.map(_.seconds).sum
-
-  def solved(outs: Seq[Outcome]): Seq[Timing.Solved] =
-    outs.collect { case s: Timing.Solved => s }
+  /** Pivots `cells` into one line per distinct row, in first-seen order, with
+    * one `measured (paper)` column per system; `paper(row)` lists the paper's
+    * values in `systems` order. A missing cell prints as `-`.
+    */
+  def render(title: String, keys: Seq[String], systems: Seq[String], cells: Seq[Cell],
+             paper: Seq[String] => Seq[Any]): String = {
+    val measured = cells.map(c => (c.row, c.system) -> c.outcome.shortLabel).toMap
+    TableFmt.render(title, keys ++ systems.map(_ + " (paper)"),
+      cells.map(_.row).distinct.map { r =>
+        r ++ systems.zip(paper(r)).map { case (s, p) => s"${measured.getOrElse((r, s), "-")} ($p)" }
+      })
+  }
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.pattern.Templates
+import repro.pattern.{Pattern, Templates}
 import repro.util.{TableFmt, Timing}
 
 /** Table 3 — JM vs TM vs GM on ten large random D-queries over the biology
@@ -22,26 +22,32 @@ object Table3Harness {
 
   private val maxNodes = Map("hu" -> 20, "hp" -> 32, "yt" -> 32)
 
-  def run(spark: SparkSession): (Seq[Row], String) = {
+  /** One cell per query and algorithm; each algorithm runs all ten queries in turn. */
+  def run(spark: SparkSession): (Seq[Cell], String) = {
     BenchEnv.quiet(spark)
-    val rows = Seq("hu", "hp", "yt").flatMap { ds =>
+    val cells = Seq("hu", "hp", "yt").flatMap { ds =>
       val ops = BenchEnv.ops(ds)
       val bfl = BenchEnv.bfl(ds)
       val queries = Templates.biologyDQueries(ops.g, maxNodes(ds), seed = 42)
-      def summarize(alg: String, outs: Seq[Timing.Outcome]): Row = {
-        val to = outs.count(o => o.isInstanceOf[Timing.TimedOut] || o.isInstanceOf[Timing.Failed])
-        val om = outs.count(_.isInstanceOf[Timing.OutOfMemory])
-        val ok = QueryRunners.solved(outs)
-        Row(ds, alg, to, om, ok.size,
-          if (ok.nonEmpty) ok.map(_.seconds).sum / ok.size else Double.NaN)
-      }
-      val jmOuts = queries.map(q => QueryRunners.jm(spark, ops, q))
-      val tmOuts = queries.map(q => QueryRunners.tm(spark, ops, bfl, q))
-      val gmOuts = queries.map(q => QueryRunners.gm(spark, ops, q))
-      Seq(summarize("JM", jmOuts), summarize("TM", tmOuts), summarize("GM", gmOuts))
+      def each(alg: String)(runner: Pattern => Timing.Outcome): Seq[Cell] =
+        queries.map(q => Cell(Seq(ds, q.name), alg, runner(q)))
+      each("JM")(QueryRunners.jm(spark, ops, _)) ++
+        each("TM")(QueryRunners.tm(spark, ops, bfl, _)) ++
+        each("GM")(QueryRunners.gm(spark, ops, _))
     }
-    (rows, render(rows))
+    (cells, render(summarize(cells)))
   }
+
+  /** Per (dataset, algorithm): TO counts timeouts and failures, OM simulated OOMs. */
+  def summarize(cells: Seq[Cell]): Seq[Row] =
+    cells.map(c => (c.row.head, c.system)).distinct.map { case (ds, alg) =>
+      val outs = cells.filter(c => c.row.head == ds && c.system == alg).map(_.outcome)
+      val ok = outs.collect { case s: Timing.Solved => s }
+      Row(ds, alg,
+        outs.count(o => o.isInstanceOf[Timing.TimedOut] || o.isInstanceOf[Timing.Failed]),
+        outs.count(_.isInstanceOf[Timing.OutOfMemory]),
+        ok.size, if (ok.nonEmpty) ok.map(_.seconds).sum / ok.size else Double.NaN)
+    }
 
   def render(rows: Seq[Row]): String = {
     val paperIx = paper.map(p => (p._1, p._2) -> p).toMap

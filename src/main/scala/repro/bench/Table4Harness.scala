@@ -3,15 +3,11 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.core.SearchOrder
 import repro.pattern.Templates
-import repro.util.{TableFmt, Timing}
 
 /** Table 4 — effectiveness of the search ordering methods RI, JO and BJ for
   * H-queries HQ2, HQ3, HQ4, HQ15, HQ18 on em and ep (GM-RI / GM-JO / GM-BJ).
   */
 object Table4Harness {
-
-  final case class Row(dataset: String, query: String,
-                       ri: Timing.Outcome, jo: Timing.Outcome, bj: Timing.Outcome)
 
   /** Paper Table 4 (seconds): query -> (em RI, em JO, em BJ, ep RI, ep JO, ep BJ). */
   val paper: Map[String, (Double, Double, Double, Double, Double, Double)] = Map(
@@ -24,30 +20,24 @@ object Table4Harness {
 
   val queryIds = Seq(2, 3, 4, 15, 18)
 
-  def run(spark: SparkSession): (Seq[Row], String) = {
+  val systems = Seq("GM-RI", "GM-JO", "GM-BJ")
+  private val orders = Seq(SearchOrder.RI, SearchOrder.JO, SearchOrder.BJ)
+
+  def run(spark: SparkSession): (Seq[Cell], String) = {
     BenchEnv.quiet(spark)
-    val rows = for {
+    val cells = for {
       ds <- Seq("em", "ep")
       id <- queryIds
-    } yield {
-      val ops = BenchEnv.ops(ds)
-      val q = Templates.hQuery(id, ops.g)
-      Row(ds, q.name,
-        QueryRunners.gm(spark, ops, q, SearchOrder.RI),
-        QueryRunners.gm(spark, ops, q, SearchOrder.JO),
-        QueryRunners.gm(spark, ops, q, SearchOrder.BJ))
-    }
-    (rows, render(rows))
+      ops = BenchEnv.ops(ds)
+      q = Templates.hQuery(id, ops.g)
+      (system, order) <- systems.zip(orders)
+    } yield Cell(Seq(ds, q.name), system, QueryRunners.gm(spark, ops, q, order))
+    (cells, QueryRunners.render(
+      "Table 4: search ordering strategies on em/ep (seconds; paper values in parens)",
+      Seq("Dataset", "Query"), systems, cells,
+      { case Seq(ds, query) =>
+        val p = paper(query).productIterator.toSeq
+        if (ds == "em") p.take(3) else p.drop(3)
+      }))
   }
-
-  def render(rows: Seq[Row]): String =
-    TableFmt.render(
-      s"Table 4: search ordering strategies on em/ep (seconds; paper values in parens)",
-      Seq("Dataset", "Query", "GM-RI (paper)", "GM-JO (paper)", "GM-BJ (paper)"),
-      rows.map { r =>
-        val p = paper(r.query)
-        val (pri, pjo, pbj) = if (r.dataset == "em") (p._1, p._2, p._3) else (p._4, p._5, p._6)
-        Seq(r.dataset, r.query,
-          s"${r.ri.shortLabel} ($pri)", s"${r.jo.shortLabel} ($pjo)", s"${r.bj.shortLabel} ($pbj)")
-      })
 }

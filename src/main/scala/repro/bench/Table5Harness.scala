@@ -3,18 +3,16 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.engines.EHLike
 import repro.pattern.Templates
-import repro.util.{TableFmt, Timing}
+import repro.util.Timing
 
 /** Table 5 — EmptyHeaded (EH / EH-probe), Neo4j and GM on twelve C-queries
   * over em and ep, spanning the acyclic / cyclic / clique / combo classes.
   */
 object Table5Harness {
 
-  final case class Row(dataset: String, query: String,
-                       ehProbe: Timing.Outcome, eh: Timing.Outcome,
-                       neo: Timing.Outcome, gm: Timing.Outcome)
-
   val queryIds = Seq(0, 3, 5, 6, 8, 17, 11, 12, 19, 10, 13, 16)
+
+  val systems = Seq("EH-probe", "EH", "Neo4j", "GM")
 
   /** Paper Table 5 (seconds or failure labels), per dataset and query. */
   val paper: Map[(String, String), (String, String, String, String)] = Map(
@@ -45,40 +43,26 @@ object Table5Harness {
     ("ep", "CQ16") -> ("OM", "OM", "0.18", "0.06"),
   )
 
-  def run(spark: SparkSession): (Seq[Row], String) = {
+  def run(spark: SparkSession): (Seq[Cell], String) = {
     BenchEnv.quiet(spark)
-    val rows = for {
-      ds <- Seq("em", "ep")
-      id <- queryIds
-    } yield {
+    val cells = Seq("em", "ep").flatMap(ds => queryIds.flatMap { id =>
       val ops = BenchEnv.ops(ds)
       val q = Templates.cQuery(id, ops.g)
       // EH: time the precompute and the probe separately, as the paper does.
       // The precompute (trie build) is straight-line work; only the probe
       // enumeration runs under the query budget.
       val prep = EHLike.prepare(ops, q, BenchEnv.limit)
-      val probeOutcome = Timing.run(spark, BenchEnv.timeoutSec)(prep.probe())
-      val ehOutcome = probeOutcome match {
+      val probe = Timing.run(spark, BenchEnv.timeoutSec)(prep.probe())
+      val eh = probe match {
         case Timing.Solved(sec, n) => Timing.Solved(sec + prep.precomputeSec, n)
         case other => other
       }
-      val neoOutcome = QueryRunners.neo(spark, ops, q)
-      val gmOutcome = QueryRunners.gm(spark, ops, q)
-      Row(ds, q.name, probeOutcome, ehOutcome, neoOutcome, gmOutcome)
-    }
-    (rows, render(rows))
-  }
-
-  def render(rows: Seq[Row]): String =
-    TableFmt.render(
+      systems.zip(Seq(probe, eh, QueryRunners.neo(spark, ops, q), QueryRunners.gm(spark, ops, q)))
+        .map { case (s, o) => Cell(Seq(ds, q.name), s, o) }
+    })
+    (cells, QueryRunners.render(
       "Table 5: C-queries on em/ep — EH-probe / EH / Neo4j-analogue / GM (seconds; paper in parens)",
-      Seq("Dataset", "Query", "EH-probe (paper)", "EH (paper)", "Neo4j (paper)", "GM (paper)"),
-      rows.map { r =>
-        val p = paper((r.dataset, r.query))
-        Seq(r.dataset, r.query,
-          s"${Option(r.ehProbe).map(_.shortLabel).getOrElse("FA")} (${p._1})",
-          s"${r.eh.shortLabel} (${p._2})",
-          s"${r.neo.shortLabel} (${p._3})",
-          s"${r.gm.shortLabel} (${p._4})")
-      })
+      Seq("Dataset", "Query"), systems, cells,
+      { case Seq(ds, query) => paper((ds, query)).productIterator.toSeq }))
+  }
 }

@@ -4,14 +4,13 @@ import org.apache.spark.sql.SparkSession
 import repro.graph.GraphGen
 import repro.graph.reach.ReachOps
 import repro.pattern.Templates
-import repro.util.{TableFmt, Timing}
 
 /** Table 6 — Neo4j vs GM on twelve H-queries over a 30K-node fragment of em. */
 object Table6Harness {
 
-  final case class Row(query: String, neo: Timing.Outcome, gm: Timing.Outcome)
-
   val queryIds = Seq(0, 3, 5, 6, 8, 17, 11, 12, 19, 10, 13, 16)
+
+  val systems = Seq("Neo4j", "GM")
 
   /** Paper Table 6 (seconds; ">1h" = did not finish). */
   val paper: Map[String, (String, String)] = Map(
@@ -21,24 +20,16 @@ object Table6Harness {
     "HQ10" -> ("319.064", "0.04"), "HQ13" -> (">1h", "1.31"), "HQ16" -> ("476.426", "0.16"),
   )
 
-  def fragmentOps(): ReachOps = ReachOps(GraphGen.fragment("em", nodes = 30000, numLabels = 20))
-
-  def run(spark: SparkSession): (Seq[Row], String) = {
+  def run(spark: SparkSession): (Seq[Cell], String) = {
     BenchEnv.quiet(spark)
-    val ops = fragmentOps()
-    val rows = queryIds.map { id =>
+    val ops = ReachOps(GraphGen.fragment("em", nodes = 30000, numLabels = 20))
+    val cells = queryIds.flatMap { id =>
       val q = Templates.hQuery(id, ops.g)
-      Row(q.name, QueryRunners.neo(spark, ops, q), QueryRunners.gm(spark, ops, q))
+      Seq(Cell(Seq(q.name), "Neo4j", QueryRunners.neo(spark, ops, q)),
+        Cell(Seq(q.name), "GM", QueryRunners.gm(spark, ops, q)))
     }
-    (rows, render(rows))
-  }
-
-  def render(rows: Seq[Row]): String =
-    TableFmt.render(
+    (cells, QueryRunners.render(
       "Table 6: H-queries on a 30K-node em fragment — Neo4j-analogue vs GM (seconds; paper in parens)",
-      Seq("Query", "Neo4j (paper)", "GM (paper)"),
-      rows.map { r =>
-        val p = paper(r.query)
-        Seq(r.query, s"${r.neo.shortLabel} (${p._1})", s"${r.gm.shortLabel} (${p._2})")
-      })
+      Seq("Query"), systems, cells, r => paper(r.head).productIterator.toSeq))
+  }
 }

@@ -56,7 +56,7 @@ object MJoin {
     * row into `order(i)` lies in cos(order(i))), the first time from the row
     * and then in place.
     */
-  private final class Search(rig: RIG, order: Array[Int], seeds: Array[Int]) {
+  private final class Search(rig: RIG, order: Array[Int], seeds: Array[Int], deadline: Long) {
     val tuple = new Array[Int](rig.pattern.numNodes)
     private val n = order.length
     private val last = n - 1
@@ -78,7 +78,7 @@ object MJoin {
     /** Charges one search step; a driver calls it per last-depth bind. */
     def step(): Unit = {
       steps += 1
-      if (steps >= nextCheck) { Timing.checkDeadline(); nextCheck = steps + 1024 }
+      if (steps >= nextCheck) { Timing.checkDeadline(deadline); nextCheck = steps + 1024 }
     }
 
     /** Binds the depths before the last and fills the last depth with at
@@ -140,7 +140,7 @@ object MJoin {
   def enumerate(rig: RIG, order: Array[Int], limit: Long = Long.MaxValue)
                (emit: Array[Int] => Boolean): Long = {
     if (rig.isEmpty) return 0L
-    val search = new Search(rig, order, rig.cos(order(0)))
+    val search = new Search(rig, order, rig.cos(order(0)), Timing.deadlineMillis)
     val t = search.tuple; val q = order.last
     var emitted = 0L
     while (emitted < limit && search.advance()) {
@@ -160,7 +160,7 @@ object MJoin {
     */
   def count(rig: RIG, order: Array[Int], limit: Long = Long.MaxValue): Long = {
     if (rig.isEmpty) return 0L
-    val search = new Search(rig, order, rig.cos(order(0)))
+    val search = new Search(rig, order, rig.cos(order(0)), Timing.deadlineMillis)
     var counted = 0L
     while (counted < limit && search.advance()) counted += (limit - counted).min(search.lastLen)
     counted
@@ -184,9 +184,10 @@ object MJoin {
     val seeds = rig.cos(order(0))
     val parts = math.max(1, math.min(sc.defaultParallelism * 4, seeds.length / 16))
     val cap = limit.min(Int.MaxValue).toInt
+    val deadline = Timing.deadlineMillis // executor threads do not see the caller's
     val rows = sc.parallelize(seeds.toIndexedSeq, parts)
       .mapPartitions { it =>
-        val search = new Search(bRig.value, order, it.toArray)
+        val search = new Search(bRig.value, order, it.toArray, deadline)
         val t = search.tuple; val q = order.last
         new Iterator[Row] {
           private var cs = Array.emptyIntArray

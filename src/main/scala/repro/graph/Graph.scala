@@ -10,7 +10,6 @@ import org.roaringbitmap.RoaringBitmap
   *
   * The paper's algorithms (simulation, RIG expansion, MJoin counting) and
   * the JM/TM baselines are in-memory and run on the driver over this CSR.
-  * It stays `Serializable` only because [[GraphDF]]'s RDD closures capture it.
   *
   * @param labels     node id -> label id
   * @param labelNames label id -> label name
@@ -26,7 +25,7 @@ final class Graph(
     val fwdAdj: Array[Int],
     val bwdOff: Array[Int],
     val bwdAdj: Array[Int],
-) extends Serializable {
+) {
 
   def numNodes: Int = labels.length
   def numEdges: Long = fwdAdj.length.toLong
@@ -91,7 +90,7 @@ final class Graph(
 
 /** Read-only view over a sub-range of an int array (avoids copying CSR rows). */
 private final class ArraySlice(a: Array[Int], from: Int, until: Int)
-    extends IndexedSeq[Int] with Serializable {
+    extends IndexedSeq[Int] {
   def apply(i: Int): Int = a(from + i)
   def length: Int = until - from
   // The inherited foreach walks a view iterator; the DAG-slice DFS loops call it per component.

@@ -11,19 +11,20 @@ import org.apache.spark.sql.functions._
   */
 object GraphDF {
 
+  // Both frames parallelize driver arrays, so a task ships only its slice.
   def nodesDF(spark: SparkSession, g: Graph): DataFrame = {
     import spark.implicits._
-    spark.sparkContext
-      .parallelize(0 until g.numNodes, math.max(1, spark.sparkContext.defaultParallelism))
-      .map(v => (v.toLong, g.labelNames(g.labels(v))))
+    val names = g.labelNames
+    spark.sparkContext.parallelize(g.labels.toIndexedSeq.zipWithIndex)
+      .map { case (l, v) => (v.toLong, names(l)) }
       .toDF("id", "label")
   }
 
   def edgesDF(spark: SparkSession, g: Graph): DataFrame = {
     import spark.implicits._
-    spark.sparkContext
-      .parallelize(0 until g.numNodes, math.max(1, spark.sparkContext.defaultParallelism))
-      .flatMap(u => g.outNeighbors(u).map(v => (u.toLong, v.toLong)))
+    val packed = g.edgeIterator.map { case (u, v) => u.toLong << 32 | v }.toArray
+    spark.sparkContext.parallelize(packed.toIndexedSeq)
+      .map(e => (e >>> 32, e & 0xffffffffL))
       .toDF("src", "dst")
   }
 

@@ -10,8 +10,8 @@ import org.apache.spark.sql.SparkSession
   * modelled as an intermediate-result row budget so a run fails for the same
   * *reason* the paper's does without actually taking down the JVM.
   *
-  * Timeouts are cooperative on the driver (hot loops call [[checkDeadline]])
-  * and preemptive for Spark jobs (the job group is cancelled).
+  * Timeouts are cooperative (hot loops call [[checkDeadline]] against their own
+  * query's deadline) and preemptive for Spark jobs (the job group is cancelled).
   */
 object Timing {
 
@@ -29,13 +29,19 @@ object Timing {
   final case class OutOfMemory(seconds: Double) extends Outcome { def shortLabel = "OM" }
   final case class Failed(seconds: Double, msg: String) extends Outcome { def shortLabel = "FA" }
 
-  // Benches run queries sequentially; a process-wide deadline is sufficient
-  // and lets deeply nested enumeration loops check cheaply.
-  @volatile private var deadlineNanos: Long = Long.MaxValue
+  // Epoch-millisecond deadline of this thread's query: set by run's runner
+  // thread and never reset, so a runner left behind stops at its next check.
+  private val deadline = ThreadLocal.withInitial[Long](() => Long.MaxValue)
+
+  /** This thread's query deadline, for work on other threads or JVMs to capture. */
+  def deadlineMillis: Long = deadline.get
 
   /** Cooperative timeout check — call from driver-side hot loops. */
-  def checkDeadline(): Unit =
-    if (System.nanoTime() > deadlineNanos)
+  def checkDeadline(): Unit = checkDeadline(deadline.get)
+
+  /** Checks a deadline captured with [[deadlineMillis]]. */
+  def checkDeadline(until: Long): Unit =
+    if (System.currentTimeMillis() > until)
       throw new QueryTimeout("query exceeded its time budget")
 
   /** Runs `thunk` (which returns a row count) under a time budget. */
@@ -43,11 +49,12 @@ object Timing {
     val group = s"timed-${System.nanoTime()}"
     val start = System.nanoTime()
     def elapsed: Double = (System.nanoTime() - start) / 1e9
-    deadlineNanos = start + (budgetSec * 1e9).toLong
+    val until = System.currentTimeMillis() + (budgetSec * 1000).toLong
     @volatile var outcome: Outcome = null
     val runner = new Thread(() => {
       outcome =
         try {
+          deadline.set(until)
           spark.sparkContext.setJobGroup(group, group, interruptOnCancel = true)
           val rows = thunk
           Solved(elapsed, rows)
@@ -63,15 +70,12 @@ object Timing {
     runner.setDaemon(true)
     runner.start()
     runner.join((budgetSec * 1000).toLong + 2000)
-    val result =
-      if (outcome == null) {
-        // Preempt any running Spark job; the cooperative deadline stops the rest.
-        spark.sparkContext.cancelJobGroup(group)
-        runner.join(30000)
-        if (outcome == null) TimedOut(elapsed) else outcome
-      } else outcome
-    deadlineNanos = Long.MaxValue
-    result
+    if (outcome == null) {
+      // Preempt any running Spark job; the cooperative deadline stops the rest.
+      spark.sparkContext.cancelJobGroup(group)
+      runner.join(30000)
+      if (outcome == null) TimedOut(elapsed) else outcome
+    } else outcome
   }
 
   private def inChain(e: Throwable, cls: Class[_ <: Throwable]): Boolean = {

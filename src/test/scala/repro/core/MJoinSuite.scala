@@ -183,6 +183,15 @@ class MJoinSuite extends SparkSpec with SeededChecks {
     assert(sec < 1.5, s"stopped after $sec s")
   }
 
+  test("the deadline stops an answerDF count that stalls after its first match") {
+    val rig = stallRig
+    val (outcome, sec) = Timing.time(Timing.run(spark, budgetSec = 0.2) {
+      MJoin.answerDF(spark, rig, Array(0, 1, 2)).count()
+    })
+    assert(outcome.isInstanceOf[Timing.TimedOut], outcome)
+    assert(sec < 1.5, s"stopped after $sec s")
+  }
+
   test("the deadline stops an emit that is slow on one long last-depth block") {
     // q0 -> q1 with one seed whose successor row holds every q1 candidate:
     // one advance hands out 2^20 candidates, each taking ~1 µs to emit.

@@ -1,6 +1,7 @@
 package repro.util
 
 import repro.SparkSpec
+import repro.bench.{Cell, QueryRunners}
 
 class TableFmtSuite extends org.scalatest.funsuite.AnyFunSuite {
 
@@ -21,6 +22,23 @@ class TableFmtSuite extends org.scalatest.funsuite.AnyFunSuite {
   test("fmtSec formats with two decimals") {
     assert(TableFmt.fmtSec(1.234) == "1.23")
     assert(TableFmt.fmtSec(0.0) == "0.00")
+  }
+
+  test("QueryRunners.render pivots cells: first-seen rows, one column per system, - when missing") {
+    val cells = Seq(
+      Cell(Seq("ep", "Q2"), "B", Timing.TimedOut(1.0)),
+      Cell(Seq("em", "Q1"), "A", Timing.Solved(0.5, 3)),
+      Cell(Seq("ep", "Q2"), "A", Timing.Solved(1.234, 7)),
+      Cell(Seq("em", "Q1"), "C", Timing.OutOfMemory(2.0)))
+    val out = QueryRunners.render("T", Seq("ds", "q"), Seq("A", "B"), cells,
+      r => Seq(s"a-${r(1)}", 4.0))
+    def fields(line: String): Seq[String] = line.split('|').map(_.trim).filter(_.nonEmpty).toSeq
+    val lines = out.split("\n")
+    assert(lines(0) == "== T ==")
+    assert(lines.length == 5, out)
+    assert(fields(lines(1)) == Seq("ds", "q", "A (paper)", "B (paper)"))
+    assert(fields(lines(3)) == Seq("ep", "Q2", "1.23 (a-Q2)", "TO (4.0)"))
+    assert(fields(lines(4)) == Seq("em", "Q1", "0.50 (a-Q1)", "- (4.0)"))
   }
 }
 
@@ -69,6 +87,22 @@ class TimingSuite extends SparkSpec {
     }
     assert(out.isInstanceOf[Timing.TimedOut])
     assert(out.seconds < 10.0)
+  }
+
+  test("overlapping runs keep their own deadlines") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val short = Future(Timing.time(Timing.run(spark, 0.3) {
+      while (true) Timing.checkDeadline()
+      0L
+    }))
+    Thread.sleep(100) // the long run sets its deadline second
+    val long = Future(Timing.run(spark, 30) { Thread.sleep(1500); Timing.checkDeadline(); 1L })
+    val (out, sec) = Await.result(short, 60.seconds)
+    assert(out.isInstanceOf[Timing.TimedOut], out)
+    assert(sec < 1.5, s"stopped after $sec s")
+    assert(Await.result(long, 60.seconds).isInstanceOf[Timing.Solved])
   }
 
   test("outcome labels") {
