@@ -1,9 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.storage.StorageLevel
-import org.roaringbitmap.RoaringBitmap
+import java.util.Arrays
+import scala.collection.mutable.ArrayBuffer
 import repro.core.{RIG, Simulation}
 import repro.graph.reach.ReachOps
 import repro.pattern.Pattern
@@ -11,75 +9,74 @@ import repro.util.Timing
 
 /** The join-based approach JM (paper §7.1): compute the match relation of
   * every query edge, pick an optimized left-deep binary-join plan via dynamic
-  * programming, then evaluate the query as a sequence of Spark SQL joins.
+  * programming, then evaluate the query as a sequence of binary joins.
   *
-  * Edge relations are built on the driver by RIG's row kernel
-  * ([[RIG.edgeMatches]]); only their `(u, v)` rows go to Spark for the joins.
-  * Every intermediate join result is materialized (persisted and counted) —
-  * that is JM's defining weakness. A configurable row budget models the
-  * paper's out-of-memory failures: exceeding it raises
-  * [[Timing.SimulatedOOM]]. Node pre-filtering [11, 63] is applied to the
-  * inputs, as in the paper.
+  * As in the paper, JM runs in memory on the driver. Edge relations are the
+  * rows of RIG's row kernel ([[RIG.edgeMatches]]), and every join step
+  * materializes its whole result — that is JM's defining weakness. A
+  * configurable row budget models the paper's out-of-memory failures:
+  * exceeding it raises [[Timing.SimulatedOOM]]. Node pre-filtering [11, 63]
+  * is applied to the inputs, as in the paper.
   */
 object JM {
 
-  /** ms(e) of pattern edge `edgeIdx` over the candidate sets, built on the
-    * driver, with its row count. The DataFrame has columns
-    * (colName(from), colName(to)) and starts no Spark job until it is read.
-    */
-  def edgeRelation(spark: SparkSession, ops: ReachOps, p: Pattern, edgeIdx: Int,
-                   cand: Array[RoaringBitmap]): (DataFrame, Long) = {
-    val e = p.edges(edgeIdx)
-    val sources = cand(e.from).toArray
-    val targets = RIG.edgeMatches(ops, e.kind, sources, cand(e.to))
-    val rows = sources.indices.collect { case i if targets(i).nonEmpty => (sources(i), targets(i)) }
-    val schema = StructType(Seq(
-      StructField(p.colName(e.from), LongType, nullable = false),
-      StructField(p.colName(e.to), LongType, nullable = false)))
-    val sc = spark.sparkContext
-    val parts = math.max(1, math.min(sc.defaultParallelism * 2, rows.length / 64 + 1))
-    val pairs = sc.parallelize(rows, parts).flatMap { case (u, vs) =>
-      vs.iterator.map(v => Row(u.toLong, v.toLong))
-    }
-    (spark.createDataFrame(pairs, schema), targets.foldLeft(0L)(_ + _.length))
-  }
+  /** Partial matches joined between two deadline checks. */
+  private val DeadlineStride = 1024
 
   /** Counts the occurrences of `p`. Throws SimulatedOOM / QueryTimeout. */
-  def countMatches(spark: SparkSession, ops: ReachOps, p: Pattern,
-                   budgetRows: Long = 20_000_000L): Long = {
+  def countMatches(ops: ReachOps, p: Pattern, budgetRows: Long = 20_000_000L): Long = {
     val cand = Simulation.prefilter(ops, p)
     if (cand.exists(_.isEmpty)) return 0L
     // A connected pattern without edges is a single node: count candidates.
     if (p.numEdges == 0) return cand(0).getLongCardinality
+    val nodes = cand.map(_.toArray)
 
-    // Edge relations, in pattern-edge order; each is checked against the
-    // budget before the next is built and before any Spark job runs.
-    val rels = p.edges.indices.map { ei =>
-      Timing.checkDeadline()
-      val (df, n) = edgeRelation(spark, ops, p, ei, cand)
+    // Forward edge relations in pattern-edge order, each checked against the
+    // budget before the next is built.
+    val fwd = p.edges.indices.map { ei =>
+      val e = p.edges(ei)
+      val rows = RIG.edgeMatches(ops, e.kind, nodes(e.from), cand(e.to))
+      val n = rows.foldLeft(0L)(_ + _.length)
       if (n > budgetRows)
         throw new Timing.SimulatedOOM(s"edge relation $ei has $n rows > budget $budgetRows")
-      (df, n)
-    }.toVector
-    if (rels.exists(_._2 == 0L)) return 0L
+      (rows, n)
+    }
+    if (fwd.exists(_._2 == 0L)) return 0L
+    val order = planLeftDeep(p, fwd.map(_._2).toVector)
 
-    val order = planLeftDeep(p, rels.map(_._2))
-    var acc: DataFrame = rels(order.head)._1
-    val persisted = scala.collection.mutable.ArrayBuffer.empty[DataFrame]
-    try {
-      order.tail.foreach { ei =>
-        Timing.checkDeadline()
-        val right = rels(ei)._1
-        val common = acc.columns.toSet.intersect(right.columns.toSet).toSeq
-        acc = if (common.nonEmpty) acc.join(right, common) else acc.crossJoin(right)
-        acc = acc.persist(StorageLevel.MEMORY_AND_DISK)
-        persisted += acc
-        val n = acc.count() // JM materializes every intermediate
-        if (n > budgetRows)
-          throw new Timing.SimulatedOOM(s"intermediate result has $n rows > budget $budgetRows")
+    // Partial matches indexed by query node (-1 = unbound), seeded with the
+    // first edge's tail so that every step of the connected plan is bound.
+    val first = p.edges(order.head).from
+    var acc = ArrayBuffer.from(
+      nodes(first).map(v => Array.tabulate(p.numNodes)(q => if (q == first) v else -1)))
+    var bound = Set(first)
+    order.foreach { ei =>
+      val e = p.edges(ei)
+      // Rows indexed by the candidates of the bound end `have`; they bind
+      // `add`, or filter when both ends are bound (add = -1).
+      val (have, add, rows) =
+        if (!bound(e.to)) (e.from, e.to, fwd(ei)._1)
+        else if (!bound(e.from))
+          (e.to, e.from, RIG.edgeMatches(ops, e.kind, nodes(e.to), cand(e.from), forward = false))
+        else (e.from, -1, fwd(ei)._1)
+      val out = ArrayBuffer.empty[Array[Int]]
+      acc.indices.foreach { i =>
+        if (i % DeadlineStride == 0) Timing.checkDeadline()
+        val t = acc(i)
+        val row = rows(Arrays.binarySearch(nodes(have), t(have)))
+        if (add < 0) { if (Arrays.binarySearch(row, t(e.to)) >= 0) out += t }
+        else row.foreach { w =>
+          val u = t.clone()
+          u(add) = w
+          out += u
+        }
+        if (out.length > budgetRows)
+          throw new Timing.SimulatedOOM(s"intermediate result has ${out.length} rows > budget $budgetRows")
       }
-      acc.count()
-    } finally persisted.foreach(_.unpersist())
+      acc = out
+      bound ++= Set(e.from, e.to)
+    }
+    acc.length
   }
 
   /** Left-deep plan over query edges: exact subset DP for <=16 edges

@@ -31,7 +31,7 @@ object QueryRunners {
   def jm(spark: SparkSession, ops: ReachOps, p: Pattern,
          timeoutSec: Double = BenchEnv.timeoutSec,
          budgetRows: Long = BenchEnv.budgetRows): Outcome =
-    Timing.run(spark, timeoutSec)(JM.countMatches(spark, ops, p, budgetRows))
+    Timing.run(spark, timeoutSec)(JM.countMatches(ops, p, budgetRows))
 
   def tm(spark: SparkSession, ops: ReachOps, bfl: BFL, p: Pattern,
          timeoutSec: Double = BenchEnv.timeoutSec,

@@ -11,7 +11,7 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so the DataFrame paths (JM, NeoLike,
+  * limit). Broadcast joins are disabled so the DataFrame paths (NeoLike,
   * the GF catalog) exercise the shuffle path.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {

@@ -1,22 +1,46 @@
 package repro.baselines
 
 import repro.{BruteForce, SeededChecks, SparkSpec}
-import repro.core.GM
-import repro.graph.GraphGen
+import repro.core.{GM, RIG, Simulation}
+import repro.graph.{Graph, GraphGen}
 import repro.graph.reach.{BFL, ReachOps}
 import repro.pattern.{Pattern, PEdge, Direct, Reach, Templates}
 import repro.util.Timing
 
 class JMSuite extends SparkSpec with SeededChecks {
 
+  /** The kind of each of JM's join steps on `p`, from the plan JM picks over
+    * the same edge relations: extend from the tail, from the head only, or
+    * filter with both ends bound. Empty when JM answers before joining.
+    */
+  private def stepKinds(ops: ReachOps, p: Pattern): Seq[String] = {
+    val cand = Simulation.prefilter(ops, p)
+    if (cand.exists(_.isEmpty)) return Nil
+    val sizes = p.edges.map(e =>
+      RIG.edgeMatches(ops, e.kind, cand(e.from).toArray, cand(e.to)).map(_.length.toLong).sum)
+    if (sizes.contains(0L)) return Nil
+    val order = JM.planLeftDeep(p, sizes)
+    var bound = Set(p.edges(order.head).from)
+    order.map { ei =>
+      val e = p.edges(ei)
+      val kind = if (!bound(e.to)) "tail" else if (!bound(e.from)) "head" else "filter"
+      bound ++= Set(e.from, e.to)
+      kind
+    }
+  }
+
   test("JM equals brute force on random hybrid patterns") {
+    val kinds = scala.collection.mutable.Set.empty[String]
     forSeeds(12) { seed =>
       val g = GraphGen.random(28, 70, 3, seed)
       val ops = ReachOps(g)
       val p = Templates.randomPattern(g, n = 4, extraEdges = 1, reachProb = 0.5, seed, "J")
-      val got = JM.countMatches(spark, ops, p)
+      val (got, jobs) = sparkJobsDuring(JM.countMatches(ops, p))
       assert(got == BruteForce.answer(g, p).size, s"seed=$seed")
+      assert(jobs == 0, s"seed=$seed")
+      kinds ++= stepKinds(ops, p)
     }
+    assert(kinds == Set("tail", "head", "filter"))
   }
 
   test("JM equals brute force on template C- and D-queries") {
@@ -24,16 +48,16 @@ class JMSuite extends SparkSpec with SeededChecks {
     val ops = ReachOps(g)
     Seq(0, 6).foreach { id =>
       val c = Templates.cQuery(id, g)
-      assert(JM.countMatches(spark, ops, c) == BruteForce.answer(g, c).size, s"CQ$id")
+      assert(JM.countMatches(ops, c) == BruteForce.answer(g, c).size, s"CQ$id")
       val d = Templates.dQuery(id, g)
-      assert(JM.countMatches(spark, ops, d) == BruteForce.answer(g, d).size, s"DQ$id")
+      assert(JM.countMatches(ops, d) == BruteForce.answer(g, d).size, s"DQ$id")
     }
   }
 
   test("JM counts the candidates of a single-node pattern") {
     val g = GraphGen.random(20, 40, 3, seed = 4)
     val p = Pattern("S", Vector("l0"), Vector.empty)
-    assert(JM.countMatches(spark, ReachOps(g), p) == BruteForce.answer(g, p).size)
+    assert(JM.countMatches(ReachOps(g), p) == BruteForce.answer(g, p).size)
   }
 
   test("tiny row budget triggers SimulatedOOM (intermediate explosion model)") {
@@ -41,8 +65,15 @@ class JMSuite extends SparkSpec with SeededChecks {
     val ops = ReachOps(g)
     val p = Templates.dQuery(0, g) // chain of reach edges: big match sets
     intercept[Timing.SimulatedOOM] {
-      JM.countMatches(spark, ops, p, budgetRows = 3)
+      JM.countMatches(ops, p, budgetRows = 3)
     }
+    // Every edge relation fits 1,600 rows (the largest has 870); a join step
+    // outgrows it, on the driver.
+    val (oom, jobs) = sparkJobsDuring {
+      intercept[Timing.SimulatedOOM](JM.countMatches(ops, p, budgetRows = 1600))
+    }
+    assert(oom.getMessage.startsWith("intermediate result"), oom.getMessage)
+    assert(jobs == 0)
   }
 
   test("an over-budget edge relation fails before any Spark job") {
@@ -51,10 +82,25 @@ class JMSuite extends SparkSpec with SeededChecks {
     val p = Templates.dQuery(0, g)
     val (_, jobs) = sparkJobsDuring {
       intercept[Timing.SimulatedOOM] {
-        JM.countMatches(spark, ops, p, budgetRows = 3)
+        JM.countMatches(ops, p, budgetRows = 3)
       }
     }
     assert(jobs == 0)
+  }
+
+  test("JM honours the deadline inside a join") {
+    // One SCC: every node reaches every node, so each of the 12 reachability
+    // edges of a 4-clique holds all 55 x 55 label pairs. The relations take
+    // milliseconds; the joins grow to 55^4 partial matches and filter them
+    // nine times, seconds of work under the default row budget.
+    val n = 220
+    val g = Graph.fromEdges(Array.tabulate(n)(_ % 4), Array("l0", "l1", "l2", "l3"),
+      (0 until n).map(v => (v, (v + 1) % n)))
+    val p = Pattern("K4", Vector("l0", "l1", "l2", "l3"),
+      for (a <- Vector.range(0, 4); b <- Vector.range(0, 4) if a != b) yield PEdge(a, b, Reach))
+    val out = Timing.run(spark, 0.2)(JM.countMatches(ReachOps(g), p))
+    assert(out.isInstanceOf[Timing.TimedOut], out)
+    assert(out.seconds < 1.5, out)
   }
 
   test("left-deep plans are connected and cover every edge") {

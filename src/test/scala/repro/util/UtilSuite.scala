@@ -1,5 +1,7 @@
 package repro.util
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.execution.LogicalRDD
 import repro.SparkSpec
 import repro.bench.{Cell, QueryRunners}
 
@@ -121,6 +123,10 @@ class MaterializeDFSuite extends SparkSpec {
     val cp = MaterializeDF.checkpoint(spark, df)
     assert(cp.schema == df.schema)
     assert(cp.collect().map(_.toSeq).toSet == df.collect().map(_.toSeq).toSet)
+    // The RDD lineage is cut too, so later rounds do not ship the history.
+    val backing = cp.queryExecution.analyzed.collectFirst { case l: LogicalRDD => l.rdd }.get
+    def lineage(r: RDD[_]): Seq[RDD[_]] = r +: r.dependencies.flatMap(d => lineage(d.rdd))
+    assert(lineage(backing).exists(_.isCheckpointed))
   }
 
   test("checkpointed frames union without constraint-rewrite failures") {
