@@ -103,41 +103,13 @@ object Condensation {
     i = 0
     while (i < n) { compSize(comp(i)) += 1; i += 1 }
 
-    // Condensation DAG edges (dedup via sort-unique).
-    val rawDagEdges = mutable.ArrayBuffer.empty[Long]
-    i = 0
-    while (i < n) {
-      val cu = comp(i)
-      g.outNeighbors(i).foreach { v =>
-        val cv = comp(v)
-        if (cu != cv) rawDagEdges += (cu.toLong << 32) | (cv.toLong & 0xffffffffL)
-      }
-      i += 1
-    }
-    val dag = rawDagEdges.distinct.toArray
-    java.util.Arrays.sort(dag)
-    val dagOff = new Array[Int](compCount + 1)
-    val dagBwdCnt = new Array[Int](compCount + 1)
-    dag.foreach { e =>
-      dagOff(((e >>> 32).toInt) + 1) += 1
-      dagBwdCnt((e & 0xffffffffL).toInt + 1) += 1
-    }
-    i = 0
-    while (i < compCount) { dagOff(i + 1) += dagOff(i); dagBwdCnt(i + 1) += dagBwdCnt(i); i += 1 }
-    val dagAdj = new Array[Int](dag.length)
-    val dagBwdAdj = new Array[Int](dag.length)
-    val fp = dagOff.clone(); val bp = dagBwdCnt.clone()
-    dag.foreach { e =>
-      val cu = (e >>> 32).toInt; val cv = (e & 0xffffffffL).toInt
-      dagAdj(fp(cu)) = cv; fp(cu) += 1
-      dagBwdAdj(bp(cv)) = cu; bp(cv) += 1
-    }
-    i = 0
-    while (i < compCount) {
-      java.util.Arrays.sort(dagBwdAdj, dagBwdCnt(i), dagBwdCnt(i + 1))
-      i += 1
-    }
+    // Condensation DAG: every graph edge as a component pair. An edge inside a
+    // component becomes a self-loop, which the CSR build drops with repeats.
+    val dagEdges = new Array[Long](g.fwdAdj.length)
+    for (u <- 0 until n; k <- g.fwdOff(u) until g.fwdOff(u + 1))
+      dagEdges(k) = Graph.pack(comp(u), comp(g.fwdAdj(k)))
+    val (dagOff, dagAdj, dagBwdOff, dagBwdAdj) = Graph.csr(compCount, dagEdges)
 
-    new Condensation(comp, compCount, compSize, dagOff, dagAdj, dagBwdCnt, dagBwdAdj)
+    new Condensation(comp, compCount, compSize, dagOff, dagAdj, dagBwdOff, dagBwdAdj)
   }
 }

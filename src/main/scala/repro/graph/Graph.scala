@@ -107,25 +107,42 @@ object Graph {
     */
   def fromEdges(labels: Array[Int], labelNames: Array[String], edges: Iterable[(Int, Int)]): Graph = {
     val n = labels.length
-    val cleaned = edges.iterator.filter { case (u, v) => u != v }.toArray.distinct
-    val outCnt = new Array[Int](n + 1)
-    val inCnt = new Array[Int](n + 1)
-    cleaned.foreach { case (u, v) => outCnt(u + 1) += 1; inCnt(v + 1) += 1 }
-    var i = 0
-    while (i < n) { outCnt(i + 1) += outCnt(i); inCnt(i + 1) += inCnt(i); i += 1 }
-    val fwd = new Array[Int](cleaned.length)
-    val bwd = new Array[Int](cleaned.length)
-    val fp = outCnt.clone(); val bp = inCnt.clone()
-    cleaned.foreach { case (u, v) =>
-      fwd(fp(u)) = v; fp(u) += 1
-      bwd(bp(v)) = u; bp(v) += 1
+    val packed = edges.iterator.map { case (u, v) =>
+      require(0 <= u && u < n && 0 <= v && v < n, s"edge ($u, $v) has an endpoint outside 0..${n - 1}")
+      pack(u, v)
+    }.toArray
+    val (fwdOff, fwdAdj, bwdOff, bwdAdj) = csr(n, packed)
+    new Graph(labels, labelNames, fwdOff, fwdAdj, bwdOff, bwdAdj)
+  }
+
+  /** Edge (u, v) as one long that sorts in (u, v) order; ids must be >= 0. */
+  private[graph] def pack(u: Int, v: Int): Long = u.toLong << 32 | v
+
+  /** The one CSR build: `(fwdOff, fwdAdj, bwdOff, bwdAdj)` over nodes `0 until n`
+    * from [[pack]]ed `edges`, sorted in place once. Self-loops and duplicates are
+    * dropped; forward rows follow that order, backward rows fill by counting.
+    */
+  private[graph] def csr(n: Int, edges: Array[Long]): (Array[Int], Array[Int], Array[Int], Array[Int]) = {
+    java.util.Arrays.sort(edges)
+    val fwdOff = new Array[Int](n + 1)
+    val bwdOff = new Array[Int](n + 1)
+    var m = 0
+    for (i <- edges.indices) {
+      val e = edges(i)
+      if ((e >>> 32).toInt != e.toInt && (m == 0 || edges(m - 1) != e)) {
+        edges(m) = e; m += 1
+        fwdOff((e >>> 32).toInt + 1) += 1; bwdOff(e.toInt + 1) += 1
+      }
     }
-    i = 0
-    while (i < n) {
-      java.util.Arrays.sort(fwd, outCnt(i), outCnt(i + 1))
-      java.util.Arrays.sort(bwd, inCnt(i), inCnt(i + 1))
-      i += 1
+    for (i <- 0 until n) { fwdOff(i + 1) += fwdOff(i); bwdOff(i + 1) += bwdOff(i) }
+    val fwdAdj = new Array[Int](m)
+    val bwdAdj = new Array[Int](m)
+    val bp = bwdOff.clone()
+    for (i <- 0 until m) {
+      val v = edges(i).toInt
+      fwdAdj(i) = v
+      bwdAdj(bp(v)) = (edges(i) >>> 32).toInt; bp(v) += 1
     }
-    new Graph(labels, labelNames, outCnt, fwd, inCnt, bwd)
+    (fwdOff, fwdAdj, bwdOff, bwdAdj)
   }
 }

@@ -29,20 +29,25 @@ object GraphDF {
   }
 
   /** Builds the CSR image from `nodes(id, label)` / `edges(src, dst)`.
-    * Node ids must be dense 0..n-1 longs (use [[nodesDF]]-shaped input).
+    * Node ids must be dense 0..n-1 longs (use [[nodesDF]]-shaped input), and
+    * every edge endpoint one of them.
     */
   def fromDF(nodes: DataFrame, edges: DataFrame): Graph = {
-    val nodeRows = nodes.select(col("id").cast("long"), col("label").cast("string"))
-      .collect().map(r => (r.getLong(0).toInt, r.getString(1)))
-    val n = nodeRows.length
-    require(nodeRows.map(_._1).toSet == (0 until n).toSet,
-      "node ids must be dense 0..n-1")
+    val rows = nodes.select(col("id").cast("long"), col("label").cast("string")).collect()
+    val n = rows.length
+    // Checked as a long: narrowing first would wrap an id of 2^32 onto node 0.
+    def id(x: Long): Int = {
+      require(0 <= x && x < n, s"node id $x is outside 0..${n - 1}")
+      x.toInt
+    }
+    val nodeRows = rows.map(r => (id(r.getLong(0)), r.getString(1)))
+    require(nodeRows.map(_._1).distinct.length == n, "node ids must be dense 0..n-1")
     val labelNames = nodeRows.map(_._2).distinct.sorted
     val labelIdx = labelNames.zipWithIndex.toMap
     val labels = new Array[Int](n)
-    nodeRows.foreach { case (id, l) => labels(id) = labelIdx(l) }
+    nodeRows.foreach { case (v, l) => labels(v) = labelIdx(l) }
     val edgePairs = edges.select(col("src").cast("long"), col("dst").cast("long"))
-      .collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+      .collect().map(r => (id(r.getLong(0)), id(r.getLong(1))))
     Graph.fromEdges(labels, labelNames, edgePairs)
   }
 }

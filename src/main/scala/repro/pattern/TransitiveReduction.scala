@@ -7,10 +7,10 @@ package repro.pattern
   * and reachability edges). The reduction removes exactly those edges; direct
   * edges are never removed because they constrain strictly more than any path.
   *
-  * Implemented via the paper's inference rules: build the reachability
-  * transitive closure with IR1 (every direct edge implies reachability) and
-  * IR2 (reachability composes), then drop each reachability edge derivable
-  * from a path that avoids it.
+  * [[reduce]] runs one DFS per reachability edge and drops the edge when the
+  * other kept edges still connect its endpoints; it builds no closure. Only
+  * tests call [[closurePairs]], the closure of the paper's inference rules
+  * IR1 (direct implies reachability) and IR2 (reachability composes).
   */
 object TransitiveReduction {
 

@@ -33,6 +33,23 @@ class GraphDFSuite extends SparkSpec {
     val edges = Seq((0L, 5L)).toDF("src", "dst")
     intercept[IllegalArgumentException](GraphDF.fromDF(nodes, edges))
   }
+
+  test("fromDF rejects an id that an Int cannot hold") {
+    import spark.implicits._
+    // 2^32 narrows to 0, so the ids would pass as {0, 1}.
+    val nodes = Seq((4294967296L, "a"), (1L, "b")).toDF("id", "label")
+    val edges = Seq((4294967296L, 1L)).toDF("src", "dst")
+    intercept[IllegalArgumentException](GraphDF.fromDF(nodes, edges))
+  }
+
+  test("fromDF rejects an edge endpoint outside the node ids") {
+    import spark.implicits._
+    val nodes = Seq((0L, "a"), (1L, "b")).toDF("id", "label")
+    intercept[IllegalArgumentException](
+      GraphDF.fromDF(nodes, Seq((0L, 2L)).toDF("src", "dst")))
+    intercept[IllegalArgumentException](
+      GraphDF.fromDF(nodes, Seq((4294967297L, 0L)).toDF("src", "dst")))
+  }
 }
 
 class TransitiveClosureSuite extends SparkSpec {

@@ -1,8 +1,11 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.SeededChecks
 
-class GraphSuite extends AnyFunSuite {
+import scala.util.Random
+
+class GraphSuite extends AnyFunSuite with SeededChecks {
 
   private def g3 = Graph.fromEdges(
     labels = Array(0, 1, 0, 1),
@@ -45,6 +48,32 @@ class GraphSuite extends AnyFunSuite {
     val g = Graph.fromEdges(Array(0, 0), Array("a"), Seq((0, 1), (0, 1), (1, 1)))
     assert(g.numEdges == 1)
     assert(g.outNeighbors(1).isEmpty)
+  }
+
+  test("fromEdges rejects an endpoint outside the node ids") {
+    intercept[IllegalArgumentException](Graph.fromEdges(Array(0, 0), Array("a"), Seq((0, 2))))
+    intercept[IllegalArgumentException](Graph.fromEdges(Array(0, 0), Array("a"), Seq((-1, 0))))
+    intercept[IllegalArgumentException](Graph.fromEdges(Array.emptyIntArray, Array("a"), Seq((0, 0))))
+  }
+
+  test("CSR rows equal the sorted, distinct, loop-free edge list") {
+    forSeeds(60) { seed =>
+      val rnd = new Random(seed)
+      val n = (seed % 12).toInt match { case 0 => 0; case 1 => 1; case _ => 2 + rnd.nextInt(40) }
+      // Endpoints drawn from the lower half leave isolated nodes; few distinct
+      // endpoints give many duplicates and self-loops.
+      val span = math.max(1, if (rnd.nextBoolean()) n / 2 else n)
+      val edges = if (n == 0) Seq.empty[(Int, Int)]
+        else Seq.fill(rnd.nextInt(4 * n + 1))((rnd.nextInt(span), rnd.nextInt(span)))
+      val g = Graph.fromEdges(Array.fill(n)(0), Array("a"), edges)
+      val ref = edges.filter { case (u, v) => u != v }.distinct
+      assert(g.fwdOff.length == n + 1 && g.bwdOff.length == n + 1)
+      assert(g.numEdges == ref.length)
+      for (v <- 0 until n) {
+        assert(g.outNeighbors(v) == ref.collect { case (`v`, w) => w }.sorted, s"out($v)")
+        assert(g.inNeighbors(v) == ref.collect { case (u, `v`) => u }.sorted, s"in($v)")
+      }
+    }
   }
 
   test("inverted lists partition nodes by label and are sorted") {

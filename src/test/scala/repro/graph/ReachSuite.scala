@@ -4,6 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{BruteForce, SeededChecks}
 import repro.graph.reach.{BFL, ReachOps}
 
+import scala.util.Random
+
 class CondensationSuite extends AnyFunSuite with SeededChecks {
 
   test("nodes in the same component reach each other (>=1 edge) both ways") {
@@ -53,6 +55,35 @@ class CondensationSuite extends AnyFunSuite with SeededChecks {
     for (c <- 0 until cond.numComps; k <- cond.dagChildren(c)) {
       assert(cond.dagParents(k).contains(c))
       assert(c < k)
+    }
+  }
+
+  test("dag rows equal the sorted, distinct cross-component pairs") {
+    forSeeds(30) { seed =>
+      val rnd = new Random(seed)
+      val n = 10 + rnd.nextInt(50)
+      // Seeds 0 mod 3 draw a DAG (u < v); the others chain random node blocks
+      // into cycles, so large SCCs carry many parallel cross edges.
+      val edges =
+        if (seed % 3 == 0)
+          Seq.fill(2 * n)((rnd.nextInt(n), rnd.nextInt(n))).collect { case (u, v) if u < v => (u, v) }
+        else {
+          val cuts = (0 +: Seq.fill(3)(rnd.nextInt(n)) :+ n).distinct.sorted
+          val cycles = cuts.sliding(2).flatMap { case Seq(a, b) =>
+            (a until b).map(v => (v, if (v + 1 < b) v + 1 else a))
+          }
+          cycles.toSeq ++ Seq.fill(2 * n)((rnd.nextInt(n), rnd.nextInt(n)))
+        }
+      val g = Graph.fromEdges(Array.fill(n)(0), Array("a"), edges)
+      val cond = Condensation(g)
+      val ref = edges.map { case (u, v) => (cond.comp(u), cond.comp(v)) }
+        .filter { case (a, b) => a != b }.distinct
+      assert(cond.dagOff.length == cond.numComps + 1 && cond.dagBwdOff.length == cond.numComps + 1)
+      assert(cond.dagAdj.length == ref.length && cond.dagBwdAdj.length == ref.length)
+      for (c <- 0 until cond.numComps) {
+        assert(cond.dagChildren(c) == ref.collect { case (`c`, k) => k }.sorted, s"children($c)")
+        assert(cond.dagParents(c) == ref.collect { case (k, `c`) => k }.sorted, s"parents($c)")
+      }
     }
   }
 }
