@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Strongly-connected-component condensation of a [[Graph]].
   *
   * Reachability indexes (BFL, intervals) operate on the condensation DAG:
@@ -46,7 +44,7 @@ object Condensation {
     val index = Array.fill(n)(-1)
     val lowlink = new Array[Int](n)
     val onStack = new Array[Boolean](n)
-    val stack = new mutable.ArrayDeque[Int]()
+    val stack = new Array[Int](n); var sp = 0 // Tarjan's node stack and its size
     var nextIndex = 0
     var compCount = 0
     val compRaw = Array.fill(n)(-1)
@@ -61,14 +59,14 @@ object Condensation {
         var top = 0
         dfsNode(0) = root; dfsEdge(0) = g.fwdOff(root)
         index(root) = nextIndex; lowlink(root) = nextIndex; nextIndex += 1
-        stack.prepend(root); onStack(root) = true
+        stack(sp) = root; sp += 1; onStack(root) = true
         while (top >= 0) {
           val u = dfsNode(top)
           if (dfsEdge(top) < g.fwdOff(u + 1)) {
             val v = g.fwdAdj(dfsEdge(top)); dfsEdge(top) += 1
             if (index(v) == -1) {
               index(v) = nextIndex; lowlink(v) = nextIndex; nextIndex += 1
-              stack.prepend(v); onStack(v) = true
+              stack(sp) = v; sp += 1; onStack(v) = true
               top += 1; dfsNode(top) = v; dfsEdge(top) = g.fwdOff(v)
             } else if (onStack(v) && index(v) < lowlink(u)) {
               lowlink(u) = index(v)
@@ -77,7 +75,7 @@ object Condensation {
             if (lowlink(u) == index(u)) {
               var w = -1
               while (w != u) {
-                w = stack.removeHead(); onStack(w) = false
+                sp -= 1; w = stack(sp); onStack(w) = false
                 compRaw(w) = compCount
               }
               compCount += 1
@@ -108,8 +106,6 @@ object Condensation {
     val dagEdges = new Array[Long](g.fwdAdj.length)
     for (u <- 0 until n; k <- g.fwdOff(u) until g.fwdOff(u + 1))
       dagEdges(k) = Graph.pack(comp(u), comp(g.fwdAdj(k)))
-    val (dagOff, dagAdj, dagBwdOff, dagBwdAdj) = Graph.csr(compCount, dagEdges)
-
-    new Condensation(comp, compCount, compSize, dagOff, dagAdj, dagBwdOff, dagBwdAdj)
+    Graph.csr(compCount, dagEdges, dagEdges.length)(new Condensation(comp, compCount, compSize, _, _, _, _))
   }
 }

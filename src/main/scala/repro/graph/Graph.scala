@@ -111,38 +111,40 @@ object Graph {
       require(0 <= u && u < n && 0 <= v && v < n, s"edge ($u, $v) has an endpoint outside 0..${n - 1}")
       pack(u, v)
     }.toArray
-    val (fwdOff, fwdAdj, bwdOff, bwdAdj) = csr(n, packed)
-    new Graph(labels, labelNames, fwdOff, fwdAdj, bwdOff, bwdAdj)
+    csr(n, packed, packed.length)(new Graph(labels, labelNames, _, _, _, _))
   }
 
-  /** Edge (u, v) as one long that sorts in (u, v) order; ids must be >= 0. */
+  /** Edge (u, v) as one long that sorts in (u, v) order, unpacked by [[src]] and [[dst]]; ids must be >= 0. */
   private[graph] def pack(u: Int, v: Int): Long = u.toLong << 32 | v
+  private[graph] def src(e: Long): Int = (e >>> 32).toInt
+  private[graph] def dst(e: Long): Int = e.toInt
 
-  /** The one CSR build: `(fwdOff, fwdAdj, bwdOff, bwdAdj)` over nodes `0 until n`
-    * from [[pack]]ed `edges`, sorted in place once. Self-loops and duplicates are
-    * dropped; forward rows follow that order, backward rows fill by counting.
+  /** Sorts `edges(0 until len)` and moves its distinct non-loop edges to the front; returns their count. */
+  private[graph] def sortUnique(edges: Array[Long], len: Int): Int = {
+    java.util.Arrays.sort(edges, 0, len)
+    var m = 0
+    for (i <- 0 until len) {
+      val e = edges(i)
+      if (src(e) != dst(e) && (m == 0 || edges(m - 1) != e)) { edges(m) = e; m += 1 }
+    }
+    m
+  }
+
+  /** The one CSR build: `mk(fwdOff, fwdAdj, bwdOff, bwdAdj)` over nodes `0 until n`
+    * from the first `len` [[pack]]ed `edges`, after [[sortUnique]]. Forward rows
+    * follow the sorted order, backward rows fill by counting.
     */
-  private[graph] def csr(n: Int, edges: Array[Long]): (Array[Int], Array[Int], Array[Int], Array[Int]) = {
-    java.util.Arrays.sort(edges)
+  private[graph] def csr[T](n: Int, edges: Array[Long], len: Int)(
+      mk: (Array[Int], Array[Int], Array[Int], Array[Int]) => T): T = {
+    val m = sortUnique(edges, len)
     val fwdOff = new Array[Int](n + 1)
     val bwdOff = new Array[Int](n + 1)
-    var m = 0
-    for (i <- edges.indices) {
-      val e = edges(i)
-      if ((e >>> 32).toInt != e.toInt && (m == 0 || edges(m - 1) != e)) {
-        edges(m) = e; m += 1
-        fwdOff((e >>> 32).toInt + 1) += 1; bwdOff(e.toInt + 1) += 1
-      }
-    }
+    for (i <- 0 until m) { fwdOff(src(edges(i)) + 1) += 1; bwdOff(dst(edges(i)) + 1) += 1 }
     for (i <- 0 until n) { fwdOff(i + 1) += fwdOff(i); bwdOff(i + 1) += bwdOff(i) }
     val fwdAdj = new Array[Int](m)
     val bwdAdj = new Array[Int](m)
     val bp = bwdOff.clone()
-    for (i <- 0 until m) {
-      val v = edges(i).toInt
-      fwdAdj(i) = v
-      bwdAdj(bp(v)) = (edges(i) >>> 32).toInt; bp(v) += 1
-    }
-    (fwdOff, fwdAdj, bwdOff, bwdAdj)
+    for (i <- 0 until m) { val v = dst(edges(i)); fwdAdj(i) = v; bwdAdj(bp(v)) = src(edges(i)); bp(v) += 1 }
+    mk(fwdOff, fwdAdj, bwdOff, bwdAdj)
   }
 }

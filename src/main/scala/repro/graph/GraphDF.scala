@@ -22,9 +22,10 @@ object GraphDF {
 
   def edgesDF(spark: SparkSession, g: Graph): DataFrame = {
     import spark.implicits._
-    val packed = g.edgeIterator.map { case (u, v) => u.toLong << 32 | v }.toArray
+    val packed = new Array[Long](g.fwdAdj.length)
+    for (u <- 0 until g.numNodes; k <- g.fwdOff(u) until g.fwdOff(u + 1)) packed(k) = Graph.pack(u, g.fwdAdj(k))
     spark.sparkContext.parallelize(packed.toIndexedSeq)
-      .map(e => (e >>> 32, e & 0xffffffffL))
+      .map(e => (Graph.src(e).toLong, Graph.dst(e).toLong))
       .toDF("src", "dst")
   }
 
@@ -46,8 +47,8 @@ object GraphDF {
     val labelIdx = labelNames.zipWithIndex.toMap
     val labels = new Array[Int](n)
     nodeRows.foreach { case (v, l) => labels(v) = labelIdx(l) }
-    val edgePairs = edges.select(col("src").cast("long"), col("dst").cast("long"))
-      .collect().map(r => (id(r.getLong(0)), id(r.getLong(1))))
-    Graph.fromEdges(labels, labelNames, edgePairs)
+    val packed = edges.select(col("src").cast("long"), col("dst").cast("long"))
+      .collect().map(r => Graph.pack(id(r.getLong(0)), id(r.getLong(1))))
+    Graph.csr(n, packed, packed.length)(new Graph(labels, labelNames, _, _, _, _))
   }
 }

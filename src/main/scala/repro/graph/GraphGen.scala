@@ -1,7 +1,6 @@
 package repro.graph
 
 import scala.util.Random
-import scala.collection.mutable
 
 /** Synthetic stand-ins for the paper's nine SNAP datasets (Table 2).
   *
@@ -11,6 +10,12 @@ import scala.collection.mutable
   * graphs). This preserves what drives the paper's algorithms: inverted-list
   * cardinalities, match-set sizes and reachability fan-out. The substitution is
   * documented in DESIGN.md §3.
+  *
+  * Each generator draws node labels, then `(u, v)` attempts in rounds until
+  * `numEdges` distinct non-loop edges exist or its attempt cap is spent: a round
+  * packs one attempt per missing edge (fewer at the cap) and [[Graph.sortUnique]]
+  * recounts. k attempts add at most k edges, so a round ends on the target only if
+  * all k were new, at the attempt where a per-attempt set check would stop too.
   */
 object GraphGen {
 
@@ -66,20 +71,7 @@ object GraphGen {
     def drawNode(): Int =
       math.min(n - 1, (n * math.pow(rnd.nextDouble(), spec.plAlpha)).toInt)
 
-    val seen = mutable.HashSet.empty[Long]
-    val edges = mutable.ArrayBuffer.empty[(Int, Int)]
-    var attempts = 0
-    val maxAttempts = spec.numEdges.toLong * 4
-    while (edges.length < spec.numEdges && attempts < maxAttempts) {
-      val u = drawNode(); val v = drawNode()
-      if (u != v) {
-        val key = u.toLong * n + v
-        if (seen.add(key)) edges += ((u, v))
-      }
-      attempts += 1
-    }
-    val labelNames = Array.tabulate(spec.numLabels)(i => "l" + i)
-    Graph.fromEdges(nodeLabels, labelNames, edges)
+    drawEdges(nodeLabels, spec.numLabels, spec.numEdges, maxAttempts = spec.numEdges * 4L)(drawNode())
   }
 
   /** Named dataset at a node/edge scale factor (1.0 = paper-sized). */
@@ -101,13 +93,21 @@ object GraphGen {
   def random(n: Int, e: Int, nLabels: Int, seed: Long): Graph = {
     val rnd = new Random(seed)
     val labels = Array.fill(n)(rnd.nextInt(nLabels))
-    val edges = mutable.HashSet.empty[(Int, Int)]
-    var attempts = 0
-    while (edges.size < e && attempts < e * 10) {
-      val u = rnd.nextInt(n); val v = rnd.nextInt(n)
-      if (u != v) edges += ((u, v))
-      attempts += 1
+    drawEdges(labels, nLabels, e, maxAttempts = e * 10L)(rnd.nextInt(n))
+  }
+
+  /** The one draw loop (see above): labels `l0`, `l1`, ... and `draw`n endpoints. */
+  private def drawEdges(labels: Array[Int], numLabels: Int, numEdges: Int, maxAttempts: Long)(
+      draw: => Int): Graph = {
+    val edges = new Array[Long](numEdges)
+    var distinct = 0
+    var attempts = 0L
+    var k = 0
+    while ({ k = math.min(numEdges - distinct, maxAttempts - attempts).toInt; k > 0 }) {
+      for (i <- distinct until distinct + k) { val u = draw; val v = draw; edges(i) = Graph.pack(u, v) }
+      attempts += k
+      distinct = Graph.sortUnique(edges, distinct + k)
     }
-    Graph.fromEdges(labels, Array.tabulate(nLabels)("l" + _), edges)
+    Graph.csr(labels.length, edges, distinct)(new Graph(labels, Array.tabulate(numLabels)("l" + _), _, _, _, _))
   }
 }

@@ -3,6 +3,7 @@ package repro.graph
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SeededChecks
 
+import scala.collection.mutable
 import scala.util.Random
 
 class GraphSuite extends AnyFunSuite with SeededChecks {
@@ -136,7 +137,7 @@ class GraphGenSuite extends AnyFunSuite {
   test("generated dataset roughly matches its spec") {
     val g = GraphGen.dataset("yt", scale = 0.1)
     assert(g.numNodes == 310)
-    assert(g.numEdges >= 1000 && g.numEdges <= 1200) // dedup can drop a few
+    assert(g.numEdges == 1200) // the spec's edge count, reached well inside the attempt cap
     assert(g.numLabels == 71)
   }
 
@@ -153,5 +154,76 @@ class GraphGenSuite extends AnyFunSuite {
     val degrees = (0 until g.numNodes).map(g.outDegree).sortBy(-_)
     val top1pc = degrees.take(math.max(1, g.numNodes / 100)).map(_.toLong).sum
     assert(top1pc.toDouble / g.numEdges > 0.05, "top 1% of nodes should own a sizable edge share")
+  }
+
+  /** GraphGen's draw loop before it drew in rounds: a set of edges, checked
+    * after every attempt, until `numEdges` are in it or the cap is spent.
+    */
+  private def perAttempt(labels: Array[Int], numLabels: Int, numEdges: Int, maxAttempts: Long)(draw: => Int): Graph = {
+    val n = labels.length
+    val seen = mutable.HashSet.empty[Long]
+    val edges = mutable.ArrayBuffer.empty[(Int, Int)]
+    var attempts = 0L
+    while (edges.length < numEdges && attempts < maxAttempts) {
+      val u = draw; val v = draw
+      if (u != v && seen.add(u.toLong * n + v)) edges += ((u, v))
+      attempts += 1
+    }
+    Graph.fromEdges(labels, Array.tabulate(numLabels)("l" + _), edges)
+  }
+
+  private def perAttemptGenerate(spec: GraphGen.Spec): Graph = {
+    val rnd = new Random(spec.seed)
+    val n = spec.numNodes
+    val w = Array.tabulate(spec.numLabels)(i => 1.0 / math.pow(i + 1, 0.5))
+    val cdf = w.scanLeft(0.0)(_ + _).tail.map(_ / w.sum)
+    val labels = Array.fill(n) {
+      val i = java.util.Arrays.binarySearch(cdf, rnd.nextDouble())
+      math.min(if (i >= 0) i else -i - 1, spec.numLabels - 1)
+    }
+    perAttempt(labels, spec.numLabels, spec.numEdges, spec.numEdges * 4L)(
+      math.min(n - 1, (n * math.pow(rnd.nextDouble(), spec.plAlpha)).toInt))
+  }
+
+  private def perAttemptRandom(n: Int, e: Int, nLabels: Int, seed: Long): Graph = {
+    val rnd = new Random(seed)
+    val labels = Array.fill(n)(rnd.nextInt(nLabels))
+    perAttempt(labels, nLabels, e, e * 10L)(rnd.nextInt(n))
+  }
+
+  private def assertSame(got: Graph, want: Graph, what: String): Unit = {
+    def same(a: Array[Int], b: Array[Int]) = java.util.Arrays.equals(a, b)
+    assert(same(got.labels, want.labels) && got.labelNames.toSeq == want.labelNames.toSeq, s"$what labels")
+    assert(same(got.fwdOff, want.fwdOff) && same(got.fwdAdj, want.fwdAdj), s"$what forward CSR")
+    assert(same(got.bwdOff, want.bwdOff) && same(got.bwdAdj, want.bwdAdj), s"$what backward CSR")
+  }
+
+  test("generate draws the same graph as a per-attempt edge set, every spec at 0.02") {
+    for ((name, spec) <- GraphGen.specs(0.02); s <- 0 until 3) {
+      val sp = spec.copy(seed = spec.seed + 1000 * s)
+      val g = GraphGen.generate(sp)
+      assertSame(g, perAttemptGenerate(sp), s"$name seed ${sp.seed}")
+      assert(g.numEdges == sp.numEdges, s"$name seed ${sp.seed}")
+    }
+  }
+
+  test("random draws the same graph as a per-attempt edge set, cap-bound shapes included") {
+    // The test suites' shapes, and some that exhaust the non-loop pairs: the
+    // attempt cap ends (5, 30) and (6, 40), which ask for more edges than their
+    // 20 and 30 pairs; (6, 30) asks for all 30 and (6, 28) for nearly all.
+    val shapes = Seq((5, 8, 2), (5, 30, 2), (6, 28, 2), (6, 30, 3), (6, 40, 3), (10, 20, 2), (10, 25, 2),
+      (15, 30, 2), (20, 30, 2), (20, 40, 2), (20, 40, 3), (20, 45, 3), (20, 50, 3), (22, 55, 3), (22, 60, 3),
+      (24, 60, 3), (24, 70, 3), (25, 60, 3), (25, 65, 3), (25, 70, 3), (28, 70, 3), (30, 70, 3), (30, 75, 3),
+      (30, 80, 3), (30, 90, 2), (30, 90, 3), (35, 90, 3), (40, 100, 3), (40, 100, 4), (40, 110, 3),
+      (40, 120, 2), (40, 120, 3), (40, 130, 3), (40, 150, 2), (50, 150, 4), (60, 150, 3), (60, 150, 5),
+      (60, 180, 3), (60, 200, 2), (60, 300, 3), (80, 200, 4), (80, 400, 5), (100, 200, 4), (400, 1600, 3),
+      (2000, 8000, 3))
+    var capBound = 0
+    for ((n, e, l) <- shapes; seed <- 0L until 20L) {
+      val g = GraphGen.random(n, e, l, seed)
+      assertSame(g, perAttemptRandom(n, e, l, seed), s"random($n, $e, $l, $seed)")
+      if (g.numEdges < e) capBound += 1
+    }
+    assert(capBound >= 40, s"only $capBound graphs ended at the attempt cap")
   }
 }
